@@ -14,7 +14,12 @@ measure
   serving front end sees during a rolling recalibration;
 * **staleness-detection lag** — wall time of one full
   :class:`repro.calib.DriftMonitor` fleet evaluation, i.e. how long
-  after a drift alarm the fleet health verdict can flip.
+  after a drift alarm the fleet health verdict can flip;
+* **commit latency against history depth** (``deep_commit``) — commit
+  p50 on antennas holding 1 and 720 versions (a month of hourly
+  recalibration) and their ratio. A commit appends one line, so the
+  ratio stays near 1; a store that rewrote history per commit would
+  show roughly the depth.
 
 One antenna per fleet is re-solved directly and compared against the
 committed record, so the bench also proves the fanned-out path is
@@ -23,8 +28,9 @@ committed record, so the bench also proves the fanned-out path is
 CI runs the quick sizing on every PR and gates
 ``fleets.10.recal_antennas_per_sec`` against
 ``benchmarks/baselines/BENCH_calib_fleet.json`` (20% tolerance plus an
-absolute floor); the nightly slow job refreshes the baseline artifact at
-full sizing.
+absolute floor) and ``deep_commit.depth_ratio`` against an absolute
+ceiling; the nightly slow job refreshes the baseline artifact at full
+sizing.
 
 Run directly for the JSON report::
 
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import tempfile
 import threading
 import time
@@ -47,6 +54,7 @@ import time
 import numpy as np
 
 from repro.calib import (
+    CalibrationRecord,
     CalibrationStore,
     DriftMonitor,
     RecalibrationScheduler,
@@ -71,6 +79,13 @@ READ_SAMPLES = 400
 
 #: DriftMonitor fleet evaluations timed per fleet.
 DETECT_SAMPLES = 20
+
+#: History depths (versions already committed) of the deep-commit section.
+SHALLOW_DEPTH = 1
+DEEP_DEPTH = 720
+
+#: Antennas per depth; each takes one timed commit.
+DEEP_COMMITS = 40
 
 
 def _read_latency_under_load(store: CalibrationStore, fleet: AntennaFleet) -> dict:
@@ -146,6 +161,65 @@ def _detection_latency(store: CalibrationStore, fleet: AntennaFleet) -> dict:
     }
 
 
+def _seed_history(root: str, depth: int) -> CalibrationStore:
+    """A store of :data:`DEEP_COMMITS` antennas holding ``depth`` versions each.
+
+    The history is written in the store's own line format rather than
+    committed one version at a time, then synced, so the timed commits
+    do not pay for flushing it.
+    """
+    fleet = AntennaFleet(FleetDriftConfig(size=DEEP_COMMITS, seed=0))
+    CalibrationStore(root)
+    for name in fleet.names:
+        antenna = fleet.antenna(name)
+        record = CalibrationRecord(
+            antenna=name,
+            version=1,
+            physical_center=tuple(antenna.physical_center_array),
+            estimated_center=tuple(antenna.phase_center),
+            phase_offset_rad=antenna.phase_offset_rad,
+            created_unix=time.time(),
+            source="seed",
+        )
+        lines = [
+            json.dumps(record.with_version(version).to_dict()) + "\n"
+            for version in range(1, depth + 1)
+        ]
+        with open(f"{root}/antennas/{name}.jsonl", "w") as handle:
+            handle.writelines(lines)
+            handle.flush()
+            os.fsync(handle.fileno())
+    return CalibrationStore(root, create=False)
+
+
+def _deep_commit_latency() -> dict:
+    """Commit p50 at a shallow and a deep history depth, and their ratio.
+
+    Commits alternate between the two stores so both see the same disk
+    and scheduler noise.
+    """
+    timings = {SHALLOW_DEPTH: np.empty(DEEP_COMMITS), DEEP_DEPTH: np.empty(DEEP_COMMITS)}
+    with tempfile.TemporaryDirectory(prefix="bench-calib-deep-") as root:
+        stores = {depth: _seed_history(f"{root}/{depth}", depth) for depth in timings}
+        for index in range(DEEP_COMMITS):
+            for depth, store in stores.items():
+                name = store.antennas()[index]
+                calibration = store.latest(name).to_calibration()
+                started = time.perf_counter()
+                record = store.commit(calibration, source="manual", expected_version=depth)
+                timings[depth][index] = time.perf_counter() - started
+                assert record.version == depth + 1
+    shallow, deep = (float(np.percentile(timings[depth], 50)) * 1e3 for depth in timings)
+    return {
+        "commits": DEEP_COMMITS,
+        "shallow_depth": SHALLOW_DEPTH,
+        "deep_depth": DEEP_DEPTH,
+        "shallow_p50_ms": round(shallow, 4),
+        "deep_p50_ms": round(deep, 4),
+        "depth_ratio": round(deep / shallow, 3),
+    }
+
+
 def _run_fleet(size: int, seed: int, executor: str) -> dict:
     """One fleet size: seed, drift, timed recalibration cycle, latencies."""
     fleet = AntennaFleet(FleetDriftConfig(size=size, seed=seed))
@@ -204,6 +278,7 @@ def run_study(
         "executor": executor,
         "fleet_sizes": list(fleet_sizes),
         "fleets": fleets,
+        "deep_commit": _deep_commit_latency(),
     }
 
 
@@ -222,6 +297,12 @@ def test_bench_calib_fleet(benchmark):
         f"  {fleet['size']:>4} antennas: {fleet['recal_antennas_per_sec']:8.2f} ant/s   "
         f"detect p99 {fleet['detect_p99_ms']:.3f} ms   "
         f"read p99 {fleet['read_p99_us']:.1f} us"
+    )
+    deep = payload["deep_commit"]
+    print(
+        f"  commit p50 at depth {deep['shallow_depth']}: {deep['shallow_p50_ms']:.3f} ms, "
+        f"at depth {deep['deep_depth']}: {deep['deep_p50_ms']:.3f} ms "
+        f"(ratio {deep['depth_ratio']:.2f})"
     )
     assert fleet["identity_ok"]
     assert fleet["recal_committed"] == 10

@@ -3,10 +3,16 @@
 Durability model: one JSON-lines file per antenna under
 ``<root>/antennas/`` (versions ascending, one
 :meth:`~repro.calib.records.CalibrationRecord.to_dict` per line) plus a
-``meta.json`` carrying the store-wide commit generation. Every write
-goes through a temp file and ``os.replace`` so a crash leaves either the
-old file or the new file, never a torn one. All reads are served from an
-in-memory index loaded once at open; the disk is only touched on commit.
+``meta.json`` holding the format version and ``meta_set`` entries
+(fsynced temp file + ``os.replace``). A commit writes its one line
+through an ``O_APPEND`` descriptor and fsyncs the file before returning;
+an antenna's first commit also fsyncs ``antennas/``. History is never
+rewritten. A crash mid-append can leave a torn, never-acknowledged last
+line with no newline: the next open truncates it, logs a warning and
+counts ``calib.torn_tail_total``. A complete line that fails to parse,
+anywhere in a file, fails the open with
+:class:`~repro.calib.errors.CorruptRecordError`. Reads are served from
+an in-memory index loaded at open.
 
 Concurrency model: one writer process, many reader threads. A process
 holds the store open and serializes commits under an internal lock;
@@ -14,9 +20,10 @@ compare-and-swap versioning (``expected_version``) turns lost races —
 two schedulers recalibrating the same antenna, an operator POST landing
 mid-cycle — into explicit :class:`~repro.calib.errors.VersionConflictError`
 instead of silent overwrites. The store-wide ``generation`` counter
-increments on every commit; caches keyed on it (the serve-side
-:class:`~repro.calib.resolver.CalibrationResolver`) invalidate without
-watching individual antennas.
+increments on every commit and is derived on open as the total record
+count, so it can never fall behind the records; caches keyed on it (the
+serve-side :class:`~repro.calib.resolver.CalibrationResolver`) invalidate
+without watching individual antennas.
 """
 
 from __future__ import annotations
@@ -37,9 +44,16 @@ from repro.calib.errors import (
 )
 from repro.calib.records import CalibrationRecord
 from repro.core.calibration import AntennaCalibration, relative_phase_offsets
+from repro.obs import LATENCY_BUCKETS_S, get_logger, get_registry, metrics_enabled
 
 #: On-disk format version, bumped on incompatible layout changes.
 FORMAT_VERSION = 1
+
+#: ``calib.commit_seconds`` / ``calib.fsync_seconds`` buckets: an
+#: append + fsync takes tens to hundreds of microseconds.
+_COMMIT_BUCKETS_S = (2.5e-5, 5e-5, 1e-4, 2.5e-4) + LATENCY_BUCKETS_S
+
+_logger = get_logger("calib.store")
 
 _SAFE_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789._-"
@@ -56,10 +70,36 @@ def _safe_filename(antenna: str) -> str:
     return f"{encoded}.jsonl"
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _fsync(fd: int) -> None:
+    started = time.perf_counter()
+    os.fsync(fd)
+    if metrics_enabled():
+        elapsed = time.perf_counter() - started
+        get_registry().histogram("calib.fsync_seconds", buckets=_COMMIT_BUCKETS_S).observe(elapsed)
+
+
+def _append_durably(path: Path, data: bytes, sync_dir: bool) -> None:
+    """Append ``data`` to ``path`` and fsync it (and its directory when
+    ``sync_dir``); a failed write is truncated away, never left torn."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+    try:
+        size = os.fstat(fd).st_size
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view) :]
+            _fsync(fd)
+        except OSError:
+            os.ftruncate(fd, size)
+            raise
+    finally:
+        os.close(fd)
+    if sync_dir:
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            _fsync(fd)
+        finally:
+            os.close(fd)
 
 
 class CalibrationStore:
@@ -111,20 +151,16 @@ class CalibrationStore:
                 f"unsupported store format {meta.get('format')!r} "
                 f"(expected {FORMAT_VERSION})"
             )
-        self._generation = int(meta.get("generation", 0))
+        # Older stores persisted "generation"; it is derived from the records.
         self._meta_extra = {
             key: value
             for key, value in meta.items()
             if key not in ("format", "generation")
         }
         self._index = {}
-        if not self._antennas_dir.exists():
-            return
         for path in sorted(self._antennas_dir.glob("*.jsonl")):
             records: List[CalibrationRecord] = []
-            for line_no, line in enumerate(
-                path.read_text(encoding="utf-8").splitlines(), start=1
-            ):
+            for line_no, line in enumerate(self._read_lines(path), start=1):
                 if not line.strip():
                     continue
                 try:
@@ -146,16 +182,36 @@ class CalibrationStore:
             if len(names) != 1:
                 raise CorruptRecordError(f"{path.name}: mixed antenna names {names}")
             self._index[records[0].antenna] = records
+        self._generation = sum(len(records) for records in self._index.values())
+
+    @staticmethod
+    def _read_lines(path: Path) -> List[str]:
+        """The file's complete lines; a torn tail (an unacknowledged append
+        cut short by a crash) is truncated away first."""
+        data = path.read_bytes()
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            _logger.warning(
+                "%s: truncating %d-byte torn tail of an interrupted append", path, len(data) - end
+            )
+            with open(path, "r+b") as handle:
+                handle.truncate(end)
+                os.fsync(handle.fileno())
+            if metrics_enabled():
+                get_registry().counter("calib.torn_tail_total").inc()
+            data = data[:end]
+        return data.decode("utf-8").splitlines()
 
     # -- meta -------------------------------------------------------------
 
     def _write_meta(self) -> None:
-        payload = {
-            "format": FORMAT_VERSION,
-            "generation": self._generation,
-            **self._meta_extra,
-        }
-        _atomic_write(self._meta_path, json.dumps(payload, indent=2) + "\n")
+        tmp = self._meta_path.with_name(self._meta_path.name + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump({"format": FORMAT_VERSION, **self._meta_extra}, handle, indent=2)
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, self._meta_path)
 
     @property
     def root(self) -> Path:
@@ -164,7 +220,8 @@ class CalibrationStore:
 
     @property
     def generation(self) -> int:
-        """Store-wide commit counter; increments on every commit."""
+        """Store-wide commit counter: the total record count, so it
+        increments on every commit."""
         with self._lock:
             return self._generation
 
@@ -260,23 +317,20 @@ class CalibrationStore:
         Raises:
             VersionConflictError: the CAS check failed.
         """
-        with self._lock:
-            current = self.latest_version(calibration.antenna_name)
-            if expected_version is not None and expected_version != current:
-                raise VersionConflictError(
-                    calibration.antenna_name, expected_version, current
-                )
-            record = CalibrationRecord.from_calibration(
+        return self._commit(
+            calibration.antenna_name,
+            expected_version,
+            lambda version: CalibrationRecord.from_calibration(
                 calibration,
-                version=current + 1,
+                version=version,
                 created_unix=float(self._clock()),
                 source=source,
                 reads=reads,
                 residual_rms_m=residual_rms_m,
                 config_hash=config_hash,
                 manifest=manifest,
-            )
-            return self._commit_record(record)
+            ),
+        )
 
     def commit_record(
         self,
@@ -293,29 +347,34 @@ class CalibrationStore:
         Raises:
             VersionConflictError: the CAS check failed.
         """
-        with self._lock:
-            current = self.latest_version(record.antenna)
-            if expected_version is not None and expected_version != current:
-                raise VersionConflictError(record.antenna, expected_version, current)
-            return self._commit_record(record.with_version(current + 1))
+        return self._commit(record.antenna, expected_version, record.with_version)
 
-    def _commit_record(self, record: CalibrationRecord) -> CalibrationRecord:
-        """Append ``record`` (version already assigned) under the lock."""
-        records = self._index.get(record.antenna, [])
-        lines = [json.dumps(item.to_dict()) for item in records]
-        lines.append(json.dumps(record.to_dict()))
-        self._antennas_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(
-            self._antennas_dir / _safe_filename(record.antenna),
-            "\n".join(lines) + "\n",
-        )
-        self._index[record.antenna] = records + [record]
-        self._generation += 1
-        self._write_meta()
-        listeners = list(self._listeners.values())
-        for callback in listeners:
-            callback(record)
-        return record
+    def _commit(
+        self,
+        antenna: str,
+        expected_version: Optional[int],
+        build: Callable[[int], CalibrationRecord],
+    ) -> CalibrationRecord:
+        """CAS-check, then append the next version durably, under the lock."""
+        with self._lock:
+            started = time.perf_counter()
+            current = self.latest_version(antenna)
+            if expected_version is not None and expected_version != current:
+                raise VersionConflictError(antenna, expected_version, current)
+            record = build(current + 1)
+            first = antenna not in self._index
+            if first:
+                self._antennas_dir.mkdir(parents=True, exist_ok=True)
+            line = (json.dumps(record.to_dict()) + "\n").encode("utf-8")
+            _append_durably(self._antennas_dir / _safe_filename(antenna), line, sync_dir=first)
+            self._index.setdefault(antenna, []).append(record)
+            self._generation += 1
+            for callback in list(self._listeners.values()):
+                callback(record)
+            if metrics_enabled():
+                elapsed = time.perf_counter() - started
+                get_registry().histogram("calib.commit_seconds", buckets=_COMMIT_BUCKETS_S).observe(elapsed)
+            return record
 
     # -- commit listeners -------------------------------------------------
 

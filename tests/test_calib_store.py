@@ -1,6 +1,8 @@
 """Tests for the versioned calibration store (repro.calib.store/records)."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from repro.calib import (
     VersionConflictError,
 )
 from repro.core.calibration import AntennaCalibration
+from repro.obs import disable_metrics, enable_metrics, scoped_registry
 
 
 def _calibration(name="ant-000", offset=1.25, center=(0.01, 0.81, 0.005)):
@@ -165,3 +168,97 @@ class TestCalibrationStore:
         meta = json.loads((tmp_path / "meta.json").read_text())
         assert meta["note"] == [1, 2, 3]
         assert meta["format"] == 1
+
+
+class TestDurability:
+    """The on-disk contract: real appends, fsynced, never rewriting history."""
+
+    def test_generation_is_derived_from_records(self, tmp_path):
+        store = CalibrationStore(tmp_path)
+        store.commit(_calibration("a"), source="scan")
+        store.commit(_calibration("b"), source="scan")
+        store.commit(_calibration("a"), source="scan")
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert "generation" not in meta
+        meta["generation"] = 1  # a stale hint from an older layout is ignored
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        reopened = CalibrationStore(tmp_path, create=False)
+        assert reopened.generation == store.generation == 3
+        assert reopened.meta_get("generation") is None
+
+    def test_torn_tail_is_truncated(self, tmp_path):
+        store = CalibrationStore(tmp_path)
+        for offset in (1.0, 2.0, 3.0):
+            store.commit(_calibration(offset=offset), source="scan")
+        jsonl = next((tmp_path / "antennas").glob("*.jsonl"))
+        intact = jsonl.read_bytes()
+        jsonl.write_bytes(intact + intact.splitlines(keepends=True)[-1][:40])
+        enable_metrics()
+        try:
+            with scoped_registry() as registry:
+                reopened = CalibrationStore(tmp_path, create=False)
+                counters = registry.snapshot()["counters"]
+        finally:
+            disable_metrics()
+        assert jsonl.read_bytes() == intact
+        assert [c["value"] for c in counters if c["name"] == "calib.torn_tail_total"] == [1.0]
+        assert [r.phase_offset_rad for r in reopened.history("ant-000")] == [1.0, 2.0, 3.0]
+        assert reopened.generation == 3
+        record = reopened.commit(_calibration(offset=4.0), source="scan", expected_version=3)
+        assert record.version == 4
+        again = CalibrationStore(tmp_path, create=False)
+        assert [r.version for r in again.history("ant-000")] == [1, 2, 3, 4]
+
+    def test_torn_only_line_leaves_empty_antenna(self, tmp_path):
+        CalibrationStore(tmp_path)
+        (tmp_path / "antennas" / "ant-000.jsonl").write_bytes(b'{"antenna": "ant-0')
+        store = CalibrationStore(tmp_path, create=False)
+        assert store.antennas() == ()
+        assert store.commit(_calibration(), source="scan").version == 1
+        assert CalibrationStore(tmp_path, create=False).latest_version("ant-000") == 1
+
+    def test_corrupt_mid_file_line_still_fails(self, tmp_path):
+        store = CalibrationStore(tmp_path)
+        store.commit(_calibration(offset=1.0), source="scan")
+        store.commit(_calibration(offset=2.0), source="scan")
+        jsonl = next((tmp_path / "antennas").glob("*.jsonl"))
+        first, second = jsonl.read_bytes().splitlines(keepends=True)
+        jsonl.write_bytes(first[:30] + b"\n" + second)
+        with pytest.raises(CorruptRecordError):
+            CalibrationStore(tmp_path, create=False)
+
+    def test_commit_appends_and_fsyncs(self, tmp_path, monkeypatch):
+        store = CalibrationStore(tmp_path)
+        for offset in (1.0, 2.0, 3.0):
+            store.commit(_calibration(offset=offset), source="scan")
+        jsonl = next((tmp_path / "antennas").glob("*.jsonl"))
+        file_fsyncs = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                file_fsyncs.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        for commits in range(1, 4):
+            before = jsonl.read_bytes()
+            store.commit(_calibration(offset=float(commits)), source="scan")
+            after = jsonl.read_bytes()
+            # History is never rewritten: the old bytes are a prefix.
+            assert after[: len(before)] == before
+            assert after.count(b"\n") == before.count(b"\n") + 1
+            assert len(file_fsyncs) >= commits
+
+    def test_commit_records_latency_histograms(self, tmp_path):
+        store = CalibrationStore(tmp_path)
+        store.commit(_calibration(), source="scan")
+        enable_metrics()
+        try:
+            with scoped_registry() as registry:
+                store.commit(_calibration(), source="scan")
+                histograms = {h["name"]: h["count"] for h in registry.snapshot()["histograms"]}
+        finally:
+            disable_metrics()
+        assert histograms["calib.commit_seconds"] == 1
+        assert histograms["calib.fsync_seconds"] >= 1
