@@ -4,7 +4,7 @@ Runs the paper's default 6x6 sweep grid over a Monte-Carlo-style sequence
 of re-noised scans, once through the legacy per-cell dispatch and once
 through the fused engine (shared preparation, cached pairing, masked
 batch IRLS), asserts the two are bit-identical per repeat, and records
-cells/second, the fused speedup, and the pairing-cache hit rate as JSON
+cells/second, the fused speedup, and the plan-cache hit rate as JSON
 (``BENCH_adaptive_sweep.json``). CI runs the quick sizing on every PR,
 uploads the JSON, and fails if fused cells/second regresses more than
 20% against ``benchmarks/baselines/BENCH_adaptive_sweep.json``.
@@ -32,7 +32,7 @@ import numpy as np
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.adaptive import ParameterGrid, _adaptive_localize_impl
 from repro.core.localizer import LionLocalizer
-from repro.core.sweep import clear_pair_cache, pair_cache_info
+from repro.core.plan import PLAN_CACHE
 from repro.obs import collect_manifest
 
 #: Reads per scan; the paper-scale line scan the sweep masks down.
@@ -75,13 +75,13 @@ def run_study(repeats: int) -> Dict[str, object]:
 
     timings: Dict[str, float] = {}
     positions: Dict[str, List[np.ndarray]] = {}
-    clear_pair_cache()
+    PLAN_CACHE.clear()
     for mode, fused in (("per_cell", False), ("fused", True)):
         start = time.perf_counter()
         results = [_sweep_once(localizer, phases, grid, fused) for phases in profiles]
         timings[mode] = time.perf_counter() - start
         positions[mode] = [result.position for result in results]
-    cache = pair_cache_info()
+    cache = PLAN_CACHE.info()
 
     # The fused engine must not change the answer, only the wall clock.
     for ours, theirs in zip(positions["fused"], positions["per_cell"]):
@@ -90,7 +90,6 @@ def run_study(repeats: int) -> Dict[str, object]:
     cells_per_sec = {
         mode: cells * repeats / seconds for mode, seconds in timings.items()
     }
-    lookups = cache["hits"] + cache["misses"]
     return {
         "benchmark": "adaptive_sweep_fused",
         "repeats": repeats,
@@ -102,10 +101,10 @@ def run_study(repeats: int) -> Dict[str, object]:
             mode: round(rate, 2) for mode, rate in cells_per_sec.items()
         },
         "speedup_fused": round(cells_per_sec["fused"] / cells_per_sec["per_cell"], 3),
-        "pair_cache": {
+        "plan_cache": {
             "hits": cache["hits"],
             "misses": cache["misses"],
-            "hit_rate": round(cache["hits"] / lookups, 4) if lookups else 0.0,
+            "hit_rate": cache["hit_rate"] or 0.0,
         },
         "manifest": collect_manifest(
             seed=0, config={"repeats": repeats, "reads": READS, "grid_cells": cells}
@@ -121,7 +120,7 @@ def test_bench_adaptive_sweep_fused_matches(benchmark):
     for mode, rate in payload["cells_per_sec"].items():
         print(f"  {mode:>9}: {rate:9.1f}")
     print(f"  fused speedup: {payload['speedup_fused']:.2f}x")
-    print(f"  pair-cache hit rate: {payload['pair_cache']['hit_rate']:.0%}")
+    print(f"  plan-cache hit rate: {payload['plan_cache']['hit_rate']:.0%}")
     assert payload["speedup_fused"] > 1.0
 
 

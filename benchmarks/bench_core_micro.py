@@ -104,13 +104,16 @@ def run_stage_breakdown(reads: int = 400, repeats: int = 200, seed: int = 0) -> 
     The stages mirror :meth:`LionLocalizer.prepare` + ``_solve_prepared``:
     ``validate`` (the input checks at the top of ``prepare``, replicated
     here verbatim), ``preprocess`` (unwrap + smoothing),
-    ``prepare_scan`` (masking, reference pick, Eq. (6) deltas),
+    ``prepare_scan`` (the geometry plan — masking, reference pick,
+    degeneracy frame — plus its Eq. (6) deltas),
     ``pair`` (pair selection), ``assemble`` (radical rows), and
     ``solve`` (the scalar IRLS). Stage sums approximate but do not
     exactly equal the end-to-end ``locate`` time (shared ``np.asarray``
     coercions are paid once per stage here).
     """
     from repro.core.localizer import LionLocalizer
+    from repro.core.pairing import auto_pairs
+    from repro.core.plan import build_plan
     from repro.core.solvers import solve_weighted_least_squares
     from repro.core.system import build_system
 
@@ -136,27 +139,25 @@ def run_stage_breakdown(reads: int = 400, repeats: int = 200, seed: int = 0) -> 
         assert np.all(np.isfinite(raw))
 
     profile = localizer.preprocess_phase(phases)
-    prepared = localizer._prepare_scan(positions, profile, None, None, None)
-    pairs = tuple(
-        localizer._auto_pairs(
-            prepared.solve_points, prepared.used_segments, localizer.interval_m
+
+    def prepare_scan():
+        plan = build_plan(localizer, positions, None, None, None)
+        return plan.complete(profile, localizer.wavelength_m)
+
+    def pair():
+        return auto_pairs(
+            prepared.solve_points, prepared.used_segments, localizer.interval_m, 2
         )
-    )
+
+    prepared = prepare_scan()
+    pairs = tuple(pair())
     system = build_system(prepared.solve_points, prepared.delta_d, pairs)
 
     stages = {
         "validate": _time_stage(validate, repeats),
         "preprocess": _time_stage(lambda: localizer.preprocess_phase(phases), repeats),
-        "prepare_scan": _time_stage(
-            lambda: localizer._prepare_scan(positions, profile, None, None, None),
-            repeats,
-        ),
-        "pair": _time_stage(
-            lambda: localizer._auto_pairs(
-                prepared.solve_points, prepared.used_segments, localizer.interval_m
-            ),
-            repeats,
-        ),
+        "prepare_scan": _time_stage(prepare_scan, repeats),
+        "pair": _time_stage(pair, repeats),
         "assemble": _time_stage(
             lambda: build_system(prepared.solve_points, prepared.delta_d, pairs),
             repeats,

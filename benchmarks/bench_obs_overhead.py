@@ -192,10 +192,10 @@ def _serve_replay(requests: List, tracing: bool) -> float:
     dispatch spans, and every request claims its subtree from the span
     store afterwards — exactly what a traced worker does per response.
     """
-    from repro.core.sweep import clear_pair_cache
+    from repro.core.plan import PLAN_CACHE
     from repro.serve.engine import ServeConfig, ServeEngine
 
-    clear_pair_cache()
+    PLAN_CACHE.clear()
     if tracing:
         enable_tracing()
     config = ServeConfig(

@@ -2,7 +2,7 @@
 
 Measures the fused front half of the serving stack
 (:func:`repro.serve.batching.execute_batch`: batched validation /
-preprocessing / template-cached geometry / stacked IRLS / batched
+preprocessing / plan-cached geometry / stacked IRLS / batched
 finalize) as pure request-path throughput — a tight loop over one warm
 batch, no queue or thread noise — at two workload scales:
 
@@ -18,9 +18,9 @@ batch, no queue or thread noise — at two workload scales:
 
 Both scales verify float64 results bit-identical to the scalar
 ``estimator.estimate`` path and bound the float32 position error before
-reporting any number. The payload also records the trajectory-template
-cache hit rate over the measured loop (gated >= 0.9: repeat geometries
-must actually skip pairing/assembly) and the same-machine speedup over
+reporting any number. The payload also records the geometry-plan cache
+hit rate over the measured loop, under its ``template_cache`` key (gated
+>= 0.9: repeat geometries must actually skip pairing/assembly) and the same-machine speedup over
 the scalar path.
 
 Run directly for the JSON report::
@@ -44,7 +44,6 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.batch_prepare import clear_template_cache, template_cache_info
-from repro.core.sweep import clear_pair_cache
 from repro.obs import collect_manifest
 from repro.pipeline.contract import EstimationRequest
 from repro.pipeline.registry import create_estimator
@@ -108,9 +107,9 @@ def run_scale(
 ) -> Dict[str, Any]:
     """One workload scale: scalar baseline + f64/f32 batched loops.
 
-    Clears the template and pair caches first, so the reported cache hit
-    rate covers exactly this scale's warmup + measurement (first batch
-    misses, every later batch hits the shared trajectory's template).
+    Clears the plan cache first, so the reported cache hit rate covers
+    exactly this scale's warmup + measurement (the first member misses,
+    every later probe hits the shared trajectory's plan).
 
     Raises:
         AssertionError: if the float64 batch diverges bit-wise from the
@@ -119,7 +118,6 @@ def run_scale(
             answer must not report a speedup.
     """
     clear_template_cache()
-    clear_pair_cache()
     requests: List[EstimationRequest] = build_requests(BATCH_SIZE, reads, seed=seed)
     estimator = create_estimator("lion", {"dim": 2, "method": "wls"})
 

@@ -1,14 +1,14 @@
-"""Serve-time calibration resolution with a generation-stamped cache.
+"""Serve-time calibration resolution with a one-generation cache.
 
 A serving request for the differential multi-antenna estimator can name
 its antennas (``EstimationRequest.antennas``) instead of shipping
 explicit centers and offset corrections; the resolver fills those fields
 from the registry's latest committed calibrations at prepare time. The
-lookup is cached per ``(antenna tuple, dim)`` and stamped with the
-store's commit **generation**: any commit anywhere in the fleet advances
-the generation, so the next lookup misses and re-reads — serving picks
-up a freshly committed calibration without watching individual antennas
-or invalidating entries by hand.
+lookup is cached per ``(antenna tuple, dim)`` for the store's current
+commit **generation**: any commit anywhere in the fleet advances the
+generation, and the next lookup clears the cache and re-reads — serving
+picks up a freshly committed calibration without watching individual
+antennas or invalidating entries by hand.
 
 Correctness note: the resolver *rewrites the request* rather than
 patching the estimator call, so the engine's result-cache fingerprint
@@ -20,17 +20,15 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import replace
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.calib.store import CalibrationStore
+from repro.lru import BoundedLRU
 from repro.obs import get_registry, metrics_enabled
 from repro.pipeline.contract import EstimationRequest
-
-_CacheKey = Tuple[Tuple[str, ...], int, int]
 
 
 class CalibrationResolver:
@@ -44,13 +42,14 @@ class CalibrationResolver:
 
     def __init__(self, store: CalibrationStore, max_entries: int = 256) -> None:
         self.store = store
-        self._max_entries = max(1, int(max_entries))
-        self._lock = threading.Lock()
-        self._cache: "OrderedDict[_CacheKey, Tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
+        self._cache: BoundedLRU[Tuple[np.ndarray, np.ndarray]] = BoundedLRU(
+            "calib", max(1, int(max_entries))
         )
-        self._hits = 0
-        self._misses = 0
+        # Guards the generation the cache holds: a lookup that read an
+        # older generation must neither clear the newer entries nor store
+        # its own after another lookup cleared the cache for a newer one.
+        self._lock = threading.Lock()
+        self._generation = store.generation
 
     # -- lookup -----------------------------------------------------------
 
@@ -59,37 +58,25 @@ class CalibrationResolver:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Centers ``(n, dim)`` and relative offsets ``(n,)``, cached."""
         generation = self.store.generation
-        key: _CacheKey = (antennas, dim, generation)
         with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                self._count("hit")
-                return cached
+            if generation > self._generation:
+                self._cache.clear(reset_counters=False)
+                self._generation = generation
+        key = (antennas, dim)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
         centers = self.store.centers_for(antennas, dim=dim)
         offsets = self.store.offsets_for(antennas)
         centers.setflags(write=False)
         offsets.setflags(write=False)
         entry = (centers, offsets)
         with self._lock:
-            self._misses += 1
-            self._count("miss")
-            # Entries from older generations are dead weight; drop them
-            # before the LRU bound, so the cache holds one generation.
-            stale = [k for k in self._cache if k[2] != generation]
-            for k in stale:
-                del self._cache[k]
-            self._cache[key] = entry
-            while len(self._cache) > self._max_entries:
-                self._cache.popitem(last=False)
+            if generation == self._generation:
+                self._cache.put(key, entry)
         if metrics_enabled():
             get_registry().gauge("serve.calib.generation").set(float(generation))
         return entry
-
-    def _count(self, result: str) -> None:
-        if metrics_enabled():
-            get_registry().counter("serve.calib.lookups_total", result=result).inc()
 
     # -- request rewriting ------------------------------------------------
 
@@ -127,21 +114,18 @@ class CalibrationResolver:
 
     def stats(self) -> Dict[str, Any]:
         """Cache counters for ``stats()`` / ``/statz`` payloads."""
-        with self._lock:
-            hits, misses, entries = self._hits, self._misses, len(self._cache)
-        total = hits + misses
+        info = self._cache.info()
         return {
             "generation": self.store.generation,
-            "entries": entries,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else None,
+            "entries": info["size"],
+            "hits": info["hits"],
+            "misses": info["misses"],
+            "hit_rate": info["hit_rate"],
         }
 
     def invalidate(self) -> None:
         """Drop every cached entry (tests, manual store surgery)."""
-        with self._lock:
-            self._cache.clear()
+        self._cache.clear(reset_counters=False)
 
 
 def resolver_stats(resolver: Optional[CalibrationResolver]) -> Dict[str, Any]:

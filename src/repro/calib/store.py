@@ -4,7 +4,8 @@ Durability model: one JSON-lines file per antenna under
 ``<root>/antennas/`` (versions ascending, one
 :meth:`~repro.calib.records.CalibrationRecord.to_dict` per line) plus a
 ``meta.json`` holding the format version and ``meta_set`` entries
-(fsynced temp file + ``os.replace``). A commit writes its one line
+(fsynced temp file + ``os.replace``, then an fsync of the root, whose
+parent is fsynced too when the store is created). A commit writes its one line
 through an ``O_APPEND`` descriptor and fsyncs the file before returning;
 an antenna's first commit also fsyncs ``antennas/``. History is never
 rewritten. A crash mid-append can leave a torn, never-acknowledged last
@@ -95,11 +96,16 @@ def _append_durably(path: Path, data: bytes, sync_dir: bool) -> None:
     finally:
         os.close(fd)
     if sync_dir:
-        fd = os.open(path.parent, os.O_RDONLY)
-        try:
-            _fsync(fd)
-        finally:
-            os.close(fd)
+        _fsync_dir(path.parent)
+
+
+def _fsync_dir(path: Path) -> None:
+    """Fsync a directory, making its entries (creates, renames) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        _fsync(fd)
+    finally:
+        os.close(fd)
 
 
 class CalibrationStore:
@@ -137,6 +143,9 @@ class CalibrationStore:
                 raise FileNotFoundError(f"no calibration store at {self._root}")
             self._antennas_dir.mkdir(parents=True, exist_ok=True)
             self._write_meta()
+            # _write_meta synced the root (meta.json, antennas/); the
+            # parent holds the root's own entry.
+            _fsync_dir(self._root.parent)
         self._load()
 
     # -- loading ----------------------------------------------------------
@@ -212,6 +221,7 @@ class CalibrationStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, self._meta_path)
+        _fsync_dir(self._root)
 
     @property
     def root(self) -> Path:

@@ -59,14 +59,9 @@ from repro.core.localizer import (
     PreprocessConfig,
     TooFewReadsError,
 )
-from repro.core.sweep import clear_pair_cache, fused_sweep, pair_cache_info
-from repro.core.batch_prepare import (
-    PreparedMember,
-    batch_prepare,
-    clear_template_cache,
-    prepare_batch,
-    template_cache_info,
-)
+from repro.core.plan import PLAN_CACHE, GeometryPlan, build_plan
+from repro.core.sweep import fused_sweep
+from repro.core.batch_prepare import PreparedMember, batch_prepare, prepare_batch
 from repro.core.multiantenna import (
     CalibratedArray,
     DifferentialResult,
@@ -128,14 +123,13 @@ __all__ = [
     "PreparedScan",
     "PreprocessConfig",
     "TooFewReadsError",
-    "clear_pair_cache",
+    "GeometryPlan",
+    "PLAN_CACHE",
+    "build_plan",
     "fused_sweep",
-    "pair_cache_info",
     "PreparedMember",
     "batch_prepare",
-    "clear_template_cache",
     "prepare_batch",
-    "template_cache_info",
     "CalibratedArray",
     "DifferentialResult",
     "differential_hologram",

@@ -17,14 +17,14 @@ Python, which bounded the whole stack once the solve was fused
   each group is padded only by its own membership, never with fake
   reads, so no padding value can leak into a real profile.
 
-* **Trajectory-template cache** — everything in a prepared scan except
-  the phase-dependent pieces (``used_profile``, ``delta_d``) depends
-  only on ``(positions, segments, mask, reference override, dim)``.
-  Repeat geometries — the dominant pattern in warehouse portals and the
-  streaming re-solve traffic of :mod:`repro.stream`, where many tags
-  re-read one deployment trajectory — hit a cross-call LRU keyed on
-  content digests and skip masking, reference selection, degeneracy
-  detection, and frame rotation entirely.
+* **Shared geometry plans** — everything in a prepared scan except the
+  phase-dependent pieces (``used_profile``, ``delta_d``) is the scan's
+  :class:`repro.core.plan.GeometryPlan`, which depends only on
+  ``(positions, segments, mask, reference override, dim)``. Repeat
+  geometries — warehouse portals and the streaming re-solve traffic of
+  :mod:`repro.stream`, where many tags re-read one deployment
+  trajectory — hit the content-keyed plan cache and skip masking,
+  reference selection, degeneracy detection, and frame rotation.
 
 * **Opt-in float32** — ``dtype=np.float32`` runs the phase pipeline in
   single precision for callers that trade exactness for throughput
@@ -41,22 +41,18 @@ batchmates are prepared exactly as if the bad member never existed.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.constants import TWO_PI
-from repro.core.localizer import LionLocalizer, PreparedScan, TooFewReadsError
-from repro.core.sweep import content_digest
+from repro.core.localizer import LionLocalizer, PreparedScan
+from repro.core.plan import PLAN_CACHE, GeometryPlan, cached_plan, memoized_digest
 from repro.obs import get_registry, metrics_enabled
 from repro.pipeline.contract import EstimationRequest
 
 __all__ = [
     "PreparedMember",
-    "ScanTemplate",
     "batch_prepare",
     "clear_template_cache",
     "prepare_batch",
@@ -64,163 +60,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScanTemplate:
-    """The phase-independent half of one prepared scan.
-
-    Holds every :class:`~repro.core.localizer.PreparedScan` field that
-    depends only on the scan geometry, mask, and localizer dimension —
-    not on the phases — plus the include-index vector that maps the full
-    profile onto the masked reads. One template serves every request that
-    re-reads the same trajectory with fresh phases.
-
-    The arrays are shared, never copied, across the prepared scans built
-    from one template; callers must treat prepared fields as immutable
-    (the scalar path's callers already do — nothing downstream mutates a
-    prepared scan).
-    """
-
-    n_reads: int
-    include_indices: np.ndarray
-    solve_points: np.ndarray
-    used_segments: Optional[np.ndarray]
-    reference_index: int
-    missing_axis: Optional[int]
-    rotation: Optional[np.ndarray]
-    frame_origin: Optional[np.ndarray]
-
-    def complete(self, used_profile: np.ndarray, delta_d: np.ndarray) -> PreparedScan:
-        """Pair the geometry with one request's phase-dependent pieces."""
-        return PreparedScan(
-            solve_points=self.solve_points,
-            used_profile=used_profile,
-            used_segments=self.used_segments,
-            reference_index=self.reference_index,
-            missing_axis=self.missing_axis,
-            rotation=self.rotation,
-            frame_origin=self.frame_origin,
-            delta_d=delta_d,
-        )
-
-
 @dataclass
 class PreparedMember:
     """One request's slot in a batched prepare.
 
-    Exactly one of ``prepared`` / ``error`` is set. ``scan_key`` and
-    ``mask_key`` are the content digests the template lookup computed —
-    callers (the fused serve dispatch) reuse them as the pairing-recipe
-    cache key instead of digesting the same arrays again.
+    Exactly one of ``prepared`` / ``error`` is set; ``plan`` is the
+    geometry plan that produced ``prepared`` (its recipes serve the
+    fused solve).
     """
 
     prepared: Optional[PreparedScan] = None
     error: Optional[ValueError] = None
-    template: Optional[ScanTemplate] = None
-    scan_key: Tuple[bytes, bytes] = (b"", b"")
-    mask_key: bytes = b""
+    plan: Optional[GeometryPlan] = None
 
 
-# ---------------------------------------------------------------------------
-# cross-call trajectory-template cache
-# ---------------------------------------------------------------------------
-
-_TEMPLATE_CACHE: "OrderedDict[tuple, ScanTemplate]" = OrderedDict()
-_TEMPLATE_CACHE_LOCK = threading.Lock()
-_TEMPLATE_CACHE_MAX = 1024
-_template_cache_hits = 0
-_template_cache_misses = 0
-
-
-def template_cache_info() -> Dict[str, int]:
-    """Hit/miss/size counters of the cross-call template cache."""
-    with _TEMPLATE_CACHE_LOCK:
-        return {
-            "hits": _template_cache_hits,
-            "misses": _template_cache_misses,
-            "size": len(_TEMPLATE_CACHE),
-            "max_size": _TEMPLATE_CACHE_MAX,
-        }
-
-
-def clear_template_cache() -> None:
-    """Empty the template cache and reset its counters (tests, benchmarks)."""
-    global _template_cache_hits, _template_cache_misses
-    with _TEMPLATE_CACHE_LOCK:
-        _TEMPLATE_CACHE.clear()
-        _template_cache_hits = 0
-        _template_cache_misses = 0
-
-
-def _template_lookup(key: tuple) -> Optional[ScanTemplate]:
-    """One cache probe, counting hits/misses (miss when absent)."""
-    global _template_cache_hits
-    with _TEMPLATE_CACHE_LOCK:
-        cached = _TEMPLATE_CACHE.get(key)
-        if cached is not None:
-            _TEMPLATE_CACHE.move_to_end(key)
-            _template_cache_hits += 1
-    if cached is not None and metrics_enabled():
-        get_registry().counter("serve.template_cache_hits").inc()
-    return cached
-
-
-def _template_store(key: tuple, template: ScanTemplate) -> None:
-    global _template_cache_misses
-    with _TEMPLATE_CACHE_LOCK:
-        _template_cache_misses += 1
-        _TEMPLATE_CACHE[key] = template
-        while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_MAX:
-            _TEMPLATE_CACHE.popitem(last=False)
-    if metrics_enabled():
-        get_registry().counter("serve.template_cache_misses").inc()
-
-
-def _build_template(
-    localizer: LionLocalizer,
-    positions: np.ndarray,
-    segment_ids: Optional[np.ndarray],
-    exclude_mask: Optional[np.ndarray],
-    reference_index: Optional[int],
-) -> ScanTemplate:
-    """Run the geometry half of ``prepare()`` once for a new trajectory.
-
-    Validation mirrors :meth:`LionLocalizer.prepare` exactly (the
-    template key is a content digest, so a geometry that validated once
-    stays valid for every later hit). The phase-dependent work runs on a
-    placeholder profile and is discarded — geometry construction is the
-    cold path; the arrays it produces are reused across every cache hit.
-    """
-    points = np.asarray(positions, dtype=float)
-    if points.ndim != 2 or points.shape[1] not in (2, 3):
-        raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
-    if points.shape[0] < 3:
-        raise TooFewReadsError("need at least three reads to localize")
-    if not np.all(np.isfinite(points)):
-        raise ValueError("positions contain non-finite values")
-
-    include = np.ones(points.shape[0], dtype=bool)
-    if exclude_mask is not None:
-        mask = np.asarray(exclude_mask, dtype=bool)
-        if mask.shape != include.shape:
-            raise ValueError("exclude_mask must match the number of reads")
-        include = ~mask
-    placeholder = np.zeros(points.shape[0], dtype=float)
-    prepared = localizer._prepare_scan(
-        points, placeholder, segment_ids, exclude_mask, reference_index
-    )
-    segments = (
-        np.asarray(segment_ids, dtype=int)[include] if segment_ids is not None else None
-    )
-    return ScanTemplate(
-        n_reads=int(points.shape[0]),
-        include_indices=np.flatnonzero(include),
-        solve_points=prepared.solve_points,
-        used_segments=segments,
-        reference_index=prepared.reference_index,
-        missing_axis=prepared.missing_axis,
-        rotation=prepared.rotation,
-        frame_origin=prepared.frame_origin,
-    )
+# Old name of the plan cache's info; BENCH_prepare and the tests read it.
+template_cache_info = PLAN_CACHE.info
+# Old name of the plan cache's clear; benchmarks and the e2e harness import it.
+clear_template_cache = PLAN_CACHE.clear
 
 
 # ---------------------------------------------------------------------------
@@ -289,25 +146,6 @@ def _batched_preprocess(
 # ---------------------------------------------------------------------------
 
 
-def _array_digest(memo: Dict[int, bytes], array: Optional[np.ndarray]) -> bytes:
-    """Content digest memoized on array identity for the current batch.
-
-    Serving batches frequently carry the *same array object* across
-    members (streaming re-solves, replayed scans, load generators); the
-    memo collapses those to one digest. Keys are ``id()``s of arrays the
-    caller's requests keep alive for the duration of the call, so no
-    stale-id aliasing is possible; the memo dies with the call.
-    """
-    if array is None:
-        return b""
-    token = id(array)
-    digest = memo.get(token)
-    if digest is None:
-        digest = content_digest(array)
-        memo[token] = digest
-    return digest
-
-
 def prepare_batch(
     localizer: LionLocalizer,
     requests: Sequence[EstimationRequest],
@@ -316,9 +154,8 @@ def prepare_batch(
     """Run ``prepare()`` for a group of requests as stacked batch work.
 
     The rich-result twin of :func:`batch_prepare`: every slot carries the
-    prepared scan (or the per-member ``ValueError``), the template that
-    produced it, and the content digests the serve layer reuses as
-    pairing-recipe cache keys.
+    prepared scan (or the per-member ``ValueError``) and the geometry
+    plan that produced it.
 
     Args:
         localizer: the group's configured localizer (one per batch — the
@@ -336,14 +173,14 @@ def prepare_batch(
     if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
         raise ValueError(f"dtype must be float64 or float32, got {dtype}")
     members: List[PreparedMember] = [PreparedMember() for _ in requests]
-    digest_memo: Dict[int, bytes] = {}
-    scale = localizer.wavelength_m / (2.0 * TWO_PI)
-    if dtype == np.dtype(np.float32):
-        scale = np.float32(scale)
+    # Serving batches often carry the same array objects across members
+    # (streaming re-solves, replayed scans, load generators); the
+    # requests keep them alive for the call.
+    digest = memoized_digest()
 
-    # Stage 1 — resolve each member's template (geometry) and group the
-    # survivors by (reads, segment layout, template identity is NOT
-    # required) for stacked preprocessing.
+    # Stage 1 — resolve each member's geometry plan (cached), validate its
+    # phases against it, and group the survivors by (reads, segment
+    # layout) for stacked preprocessing.
     groups: Dict[tuple, List[int]] = {}
     for index, request in enumerate(requests):
         member = members[index]
@@ -355,61 +192,31 @@ def prepare_batch(
                     if getattr(request, name) is None
                 ]
                 raise ValueError(f"request is missing required fields: {missing}")
-            phases = request.phases_rad
-            positions = request.positions
-            pos_key = _array_digest(digest_memo, positions)
-            seg_key = _array_digest(digest_memo, request.segment_ids)
-            mask_key = _array_digest(digest_memo, request.exclude_mask)
-            member.scan_key = (pos_key, seg_key)
-            member.mask_key = mask_key
-            key = (pos_key, seg_key, mask_key, request.reference_index, localizer.dim)
-            template = _template_lookup(key)
-            if template is None:
-                template = _build_template(
-                    localizer,
-                    positions,
-                    request.segment_ids,
-                    request.exclude_mask,
-                    request.reference_index,
-                )
-                _template_store(key, template)
-            if phases.shape != (template.n_reads,):
-                raise ValueError(
-                    f"phases must have shape ({template.n_reads},), got {phases.shape}"
-                )
-            member.template = template
+            plan = cached_plan(
+                localizer,
+                request.positions,
+                request.segment_ids,
+                request.exclude_mask,
+                request.reference_index,
+                digest,
+            )
+            plan.check_phases(request.phases_rad)
         except ValueError as error:
             member.error = error
             continue
-        groups.setdefault((int(template.n_reads), seg_key), []).append(index)
+        member.plan = plan
+        groups.setdefault((plan.n_reads, digest(request.segment_ids)), []).append(index)
 
-    # Stage 2 — stacked preprocessing per group, then per-member masking
-    # and Eq. (6) against each member's template.
+    # Stage 2 — stacked preprocessing per group, then Eq. (6) per plan.
     hampel = localizer.preprocess.hampel_window > 1
     for (n_reads, _seg_key), group in groups.items():
         stacked = np.empty((len(group), n_reads), dtype=dtype)
         for slot, index in enumerate(group):
             stacked[slot] = requests[index].phases_rad
-        finite = np.isfinite(stacked)
-        bad_members: set[int] = set()
-        if not finite.all():
-            for slot, index in enumerate(group):
-                if not finite[slot].all():
-                    members[index].error = ValueError(
-                        "phases contain non-finite values; filter failed reads upstream"
-                    )
-                    bad_members.add(index)
-        live = [index for index in group if index not in bad_members]
-        if not live:
-            continue
-        if len(live) != len(group):
-            stacked = np.stack([requests[index].phases_rad for index in live]).astype(
-                dtype, copy=False
-            )
-        segment_ids = requests[live[0]].segment_ids
+        segment_ids = requests[group[0]].segment_ids
         if hampel:
             profiles = np.empty_like(stacked)
-            for slot, index in enumerate(live):
+            for slot in range(len(group)):
                 profiles[slot] = localizer.preprocess_phase(
                     stacked[slot],
                     segment_ids=np.asarray(segment_ids, dtype=int)
@@ -419,21 +226,17 @@ def prepare_batch(
         else:
             profiles = _batched_preprocess(localizer, stacked, segment_ids)
 
-        # Members sharing a template vectorize the masking + delta step;
-        # a mixed group (same layout, different masks) falls through to
-        # one-row slices of the same code.
-        by_template: Dict[int, List[int]] = {}
-        for slot, index in enumerate(live):
-            by_template.setdefault(id(members[index].template), []).append(slot)
-        for slots in by_template.values():
-            template = members[live[slots[0]]].template
-            assert template is not None
-            rows = profiles[slots] if len(slots) > 1 else profiles[slots[0] : slots[0] + 1]
-            used = rows[:, template.include_indices]
-            delta = scale * (used - used[:, template.reference_index, np.newaxis])
-            for row, slot in enumerate(slots):
-                index = live[slot]
-                members[index].prepared = template.complete(used[row], delta[row])
+        # Members sharing a plan complete as one stack; a mixed group
+        # (same layout, different masks) completes one stack per plan.
+        by_plan: Dict[int, List[int]] = {}
+        for slot, index in enumerate(group):
+            by_plan.setdefault(id(members[index].plan), []).append(slot)
+        for slots in by_plan.values():
+            plan = members[group[slots[0]]].plan
+            assert plan is not None
+            prepared = plan.complete_rows(profiles[slots], localizer.wavelength_m)
+            for slot, scan in zip(slots, prepared):
+                members[group[slot]].prepared = scan
     if metrics_enabled():
         get_registry().histogram(
             "serve.prepare_batch_size",

@@ -20,11 +20,11 @@ restructured around appends:
 * **Window slides for free** — corrections are per-read, so evicting the
   oldest read invalidates nothing; the window's profile is always
   reconstructable in O(w) without touching evicted history.
-* **Pairing-recipe reuse** — :meth:`resolve` routes pair selection and
-  the phase-independent radical-row geometry through the cross-call
-  cache of :mod:`repro.core.sweep` (:func:`cached_assembly_recipe`), so
-  repeated re-solves of one window (settled tags, replay comparisons,
-  Monte-Carlo re-noising) amortize pairing to a dict lookup.
+* **Plan reuse** — :meth:`resolve` takes the window's geometry plan
+  from the content-keyed cache of :mod:`repro.core.plan` and its
+  pairing recipe from the plan, so repeated re-solves of one window
+  (settled tags, replay comparisons, Monte-Carlo re-noising) amortize
+  masking, degeneracy handling and pairing to a lookup.
 
 The result: :meth:`resolve` on a window is **bit-identical** to
 :meth:`LionLocalizer.locate` on the same window's raw reads —
@@ -39,14 +39,9 @@ from typing import Deque
 
 import numpy as np
 
-from repro.core.localizer import (
-    LionLocalizer,
-    LocalizationResult,
-    PreparedScan,
-    TooFewReadsError,
-)
+from repro.core.localizer import LionLocalizer, LocalizationResult, PreparedScan
+from repro.core.plan import GeometryPlan, TooFewReadsError, cached_plan
 from repro.core.solvers import solve_least_squares, solve_weighted_least_squares
-from repro.core.sweep import cached_assembly_recipe, content_digest
 from repro.core.weights import gaussian_residual_weights
 
 _TWO_PI = 2.0 * np.pi
@@ -191,6 +186,15 @@ class IncrementalScanAssembler:
         return self.localizer.smooth_profile(profile, self.window_segments())
 
     # ------------------------------------------------------------------
+    def _plan(self, reference_index: int | None) -> GeometryPlan:
+        """The window's geometry plan, through the content-keyed plan cache."""
+        if len(self._phases) < 3:
+            raise TooFewReadsError("need at least three reads to localize")
+        positions = np.array(self._positions, dtype=float)
+        return cached_plan(
+            self.localizer, positions, self.window_segments(), None, reference_index
+        )
+
     def prepare(self, reference_index: int | None = None) -> PreparedScan:
         """Reduce the current window to its solve-ready pieces.
 
@@ -201,34 +205,22 @@ class IncrementalScanAssembler:
             TooFewReadsError: with fewer than three reads in the window.
             DegenerateGeometryError / ValueError: as on the batch path.
         """
-        if len(self._phases) < 3:
-            raise TooFewReadsError("need at least three reads to localize")
-        positions = np.array(self._positions, dtype=float)
-        profile = self.window_profile()
-        return self.localizer._prepare_scan(
-            positions, profile, self.window_segments(), None, reference_index
+        return self._plan(reference_index).complete(
+            self.window_profile(), self.localizer.wavelength_m
         )
 
     def resolve(self, interval_m: float | None = None) -> LocalizationResult:
         """Windowed re-solve, bit-identical to ``locate`` on the same window.
 
-        Pairs and phase-independent radical-row geometry go through the
-        cross-call recipe cache (:func:`cached_assembly_recipe`) keyed on
-        window content, exactly like the serving engine's fused batch
-        path; the (W)LS solve and lower-dimension recovery mirror
-        :meth:`LionLocalizer._solve_prepared`.
+        The pairing recipe comes from the window's cached plan, exactly
+        like the serving engine's fused batch path; the (W)LS solve and
+        lower-dimension recovery mirror :meth:`LionLocalizer._solve_prepared`.
         """
-        prepared = self.prepare()
-        positions = np.array(self._positions, dtype=float)
-        scan_key = (content_digest(positions), content_digest(self.window_segments()))
-        recipe = cached_assembly_recipe(
-            self.localizer,
-            prepared,
-            interval_m or self.localizer.interval_m,
-            scan_key,
-            content_digest(None),
+        plan = self._plan(None)
+        prepared = plan.complete(self.window_profile(), self.localizer.wavelength_m)
+        system = plan.recipe(interval_m or self.localizer.interval_m).assemble(
+            prepared.delta_d
         )
-        system = recipe.assemble(prepared.delta_d)
         if self.localizer.method == "wls":
             solution = solve_weighted_least_squares(
                 system,

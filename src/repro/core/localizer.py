@@ -16,43 +16,26 @@ from typing import Literal, Sequence, Tuple
 import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M
-from repro.core.lowerdim import (
-    RecoveryResult,
-    detect_missing_axis,
-    recover_coordinate_from_reference,
-)
-from repro.core.pairing import lag_pairs, spacing_pairs, three_line_pairs
+from repro.core.lowerdim import RecoveryResult, recover_coordinate_from_reference
+from repro.core.pairing import auto_pairs
+# The scan types and errors live with the plan; re-exported here, where
+# callers have always imported them from.
+from repro.core.plan import DegenerateGeometryError as DegenerateGeometryError
+from repro.core.plan import PreparedScan as PreparedScan
+from repro.core.plan import TooFewReadsError as TooFewReadsError
+from repro.core.plan import build_plan
 from repro.core.solvers import (
     Solution,
     solve_least_squares,
     solve_weighted_least_squares,
 )
-from repro.core.system import LinearSystem, build_system, delta_distances
+from repro.core.system import LinearSystem, build_system
 from repro.core.weights import gaussian_residual_weights
-from repro.geometry.transforms import to_line_frame_2d
 from repro.obs import span, tracing_enabled
 from repro.signalproc.smoothing import hampel_filter, smooth_phase_profile
 from repro.signalproc.unwrap import unwrap_phase
 
 Method = Literal["wls", "ls"]
-
-
-class TooFewReadsError(ValueError):
-    """A scan (or its exclusion mask) leaves fewer than three usable reads.
-
-    Subclasses :class:`ValueError` so existing ``except ValueError``
-    callers keep working; the adaptive sweep maps it to the stable
-    ``"too_few_reads"`` rejection label.
-    """
-
-
-class DegenerateGeometryError(ValueError):
-    """The scan geometry cannot observe a position of the requested dim.
-
-    Raised for the Sec. III-C unsolvable cases (e.g. a single straight
-    line for a 3D target). Subclasses :class:`ValueError`; the adaptive
-    sweep maps it to the stable ``"degenerate_geometry"`` label.
-    """
 
 
 @dataclass(frozen=True)
@@ -99,39 +82,6 @@ class LocalizationResult:
     def mean_residual(self) -> float:
         """Weighted mean residual of the final solve (adaptive-selection signal)."""
         return self.solution.mean_residual
-
-
-@dataclass(frozen=True)
-class PreparedScan:
-    """A scan reduced to its solve-ready, pairing-independent pieces.
-
-    Produced by :meth:`LionLocalizer._prepare_scan`: mask application,
-    reference selection, degeneracy detection / frame rotation, and the
-    Eq. (6) distance differences. Everything here depends only on the
-    (masked) geometry and the preprocessed profile — not on the pairing
-    interval — which is what lets the fused adaptive sweep
-    (:mod:`repro.core.sweep`) prepare each distinct range window once and
-    reuse it across every interval.
-
-    Attributes:
-        solve_points: included positions in the solve frame (rotated for
-            collinear 2D scans), shape ``(k, dim)``.
-        used_profile: preprocessed phases of the included reads.
-        used_segments: segment ids of the included reads, or ``None``.
-        reference_index: Eq. (6) reference, index into included reads.
-        missing_axis: axis to recover via ``d_r``, or ``None``.
-        rotation / frame_origin: the 2D line-frame transform, or ``None``.
-        delta_d: Eq. (6) distance differences of the included reads.
-    """
-
-    solve_points: np.ndarray
-    used_profile: np.ndarray
-    used_segments: np.ndarray | None
-    reference_index: int
-    missing_axis: int | None
-    rotation: np.ndarray | None
-    frame_origin: np.ndarray | None
-    delta_d: np.ndarray
 
 
 @dataclass
@@ -325,15 +275,17 @@ class LionLocalizer:
     ) -> PreparedScan:
         """Validate, preprocess, and reduce one scan to its solve-ready pieces.
 
-        This is exactly the front half of :meth:`locate` — input validation,
-        phase preprocessing, and :meth:`_prepare_scan` — split out so batch
-        engines (:mod:`repro.serve`) can run it per request and then fuse the
-        remaining pair/assemble/solve work across requests. ``locate`` is
-        ``prepare`` + ``_solve_prepared``, so results stay bit-identical.
+        This is exactly the front half of :meth:`locate`: an uncached
+        :func:`repro.core.plan.build_plan` (geometry validation, mask,
+        reference, degeneracy frame), phase validation and preprocessing,
+        then :meth:`GeometryPlan.complete <repro.core.plan.GeometryPlan.complete>`.
+        ``locate`` is ``prepare`` + ``_solve_prepared``. The one-shot path
+        touches no cache; batch engines reach the same plan through
+        :func:`repro.core.plan.cached_plan`.
 
         Copy contract: inputs are never mutated, and the returned
         :class:`PreparedScan` never aliases caller arrays — every array it
-        carries is produced by boolean-mask indexing or arithmetic, both
+        carries is produced by index-array selection or arithmetic, both
         of which allocate. ``assume_preprocessed`` therefore uses the
         caller's phase array in place (read-only) instead of defensively
         copying it; sweep engines call this per candidate window, so that
@@ -343,25 +295,11 @@ class LionLocalizer:
             TooFewReadsError / DegenerateGeometryError / ValueError: as on
                 :meth:`locate`.
         """
-        points = np.asarray(positions, dtype=float)
         phases = np.asarray(wrapped_phase_rad, dtype=float)
-        if points.ndim != 2 or points.shape[1] not in (2, 3):
-            raise ValueError(f"positions must be (n, 2) or (n, 3), got {points.shape}")
-        if phases.shape != (points.shape[0],):
-            raise ValueError(
-                f"phases must have shape ({points.shape[0]},), got {phases.shape}"
-            )
-        if points.shape[0] < 3:
-            raise TooFewReadsError("need at least three reads to localize")
-        if not np.all(np.isfinite(points)):
-            raise ValueError("positions contain non-finite values")
-        if not np.all(np.isfinite(phases)):
-            raise ValueError(
-                "phases contain non-finite values; filter failed reads upstream"
-            )
-
+        plan = build_plan(self, positions, segment_ids, exclude_mask, reference_index)
+        plan.check_phases(phases)
         if assume_preprocessed:
-            profile = phases  # read-only from here; _prepare_scan copies via masking
+            profile = phases  # read-only from here; complete() copies via indexing
         else:
             profile = self.preprocess_phase(
                 phases,
@@ -369,82 +307,7 @@ class LionLocalizer:
                 if segment_ids is not None
                 else None,
             )
-
-        return self._prepare_scan(
-            points, profile, segment_ids, exclude_mask, reference_index
-        )
-
-    def _prepare_scan(
-        self,
-        points: np.ndarray,
-        profile: np.ndarray,
-        segment_ids: np.ndarray | None,
-        exclude_mask: np.ndarray | None,
-        reference_index: int | None,
-    ) -> PreparedScan:
-        """Mask, pick the reference, handle degeneracy, compute Eq. (6).
-
-        ``points`` and ``profile`` are the full validated position matrix
-        and preprocessed phase profile; the result depends only on them,
-        the mask, and the localizer configuration — not on the pairing
-        interval — so sweep engines prepare each distinct mask once.
-        """
-        include = np.ones(points.shape[0], dtype=bool)
-        if exclude_mask is not None:
-            mask = np.asarray(exclude_mask, dtype=bool)
-            if mask.shape != include.shape:
-                raise ValueError("exclude_mask must match the number of reads")
-            include = ~mask
-        if int(np.count_nonzero(include)) < 3:
-            raise TooFewReadsError("need at least three included reads")
-
-        used_points_full = points[include]
-        used_profile = profile[include]
-        used_segments = (
-            np.asarray(segment_ids, dtype=int)[include] if segment_ids is not None else None
-        )
-
-        if reference_index is None:
-            if used_segments is not None:
-                # Middle of the most-populated sweep: keeps the reference
-                # read far from trajectory corners, where even symmetric
-                # smoothing has reduced support.
-                ids, counts = np.unique(used_segments, return_counts=True)
-                largest = ids[int(np.argmax(counts))]
-                members = np.flatnonzero(used_segments == largest)
-                reference_index = int(members[members.size // 2])
-            else:
-                reference_index = used_profile.shape[0] // 2
-        if not 0 <= reference_index < used_profile.shape[0]:
-            raise ValueError("reference index out of range of included reads")
-
-        used_points = used_points_full[:, : self.dim] if self.dim == 2 else used_points_full
-        if self.dim == 3 and used_points.shape[1] == 2:
-            used_points = np.hstack([used_points, np.zeros((used_points.shape[0], 1))])
-
-        # Degeneracy handling: find the axis (if any) the scan never moves
-        # along; for 2D a non-axis-aligned line is rotated into its frame.
-        rotation: np.ndarray | None = None
-        frame_origin: np.ndarray | None = None
-        solve_points = used_points
-        missing_axis = self._detect_degeneracy(used_points)
-        if self.dim == 2 and missing_axis is None and self._is_collinear(used_points):
-            direction = self._principal_direction(used_points)
-            frame_origin = used_points[0].copy()
-            solve_points, rotation = to_line_frame_2d(used_points, frame_origin, direction)
-            missing_axis = 1
-
-        delta_d = delta_distances(used_profile, reference_index, self.wavelength_m)
-        return PreparedScan(
-            solve_points=solve_points,
-            used_profile=used_profile,
-            used_segments=used_segments,
-            reference_index=reference_index,
-            missing_axis=missing_axis,
-            rotation=rotation,
-            frame_origin=frame_origin,
-            delta_d=delta_d,
-        )
+        return plan.complete(profile, self.wavelength_m)
 
     def _solve_prepared(
         self,
@@ -454,10 +317,11 @@ class LionLocalizer:
     ) -> LocalizationResult:
         """Pair, assemble, and solve one prepared scan."""
         if pairs is None:
-            pairs = self._auto_pairs(
+            pairs = auto_pairs(
                 prepared.solve_points,
                 prepared.used_segments,
                 interval_m or self.interval_m,
+                self.dim,
             )
         system = build_system(
             prepared.solve_points, prepared.delta_d, pairs, dim=self.dim
@@ -503,82 +367,3 @@ class LionLocalizer:
             recovery=recovery,
             reference_position=reference_position,
         )
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _detect_degeneracy(self, points: np.ndarray) -> int | None:
-        """Missing-axis detection with the Sec. III-C unsolvable case check."""
-        try:
-            return detect_missing_axis(points, span_threshold_m=1e-6)
-        except ValueError as error:
-            raise DegenerateGeometryError(
-                f"trajectory cannot observe a {self.dim}-D position: {error}"
-            ) from error
-
-    @staticmethod
-    def _is_collinear(points: np.ndarray, tol: float = 1e-9) -> bool:
-        """Whether all 2D points lie on one straight line."""
-        centered = points - points.mean(axis=0)
-        singular_values = np.linalg.svd(centered, compute_uv=False)
-        return bool(singular_values[-1] <= tol * max(singular_values[0], 1.0))
-
-    @staticmethod
-    def _principal_direction(points: np.ndarray) -> np.ndarray:
-        """Dominant direction of a point cloud (first right singular vector)."""
-        centered = points - points.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered, full_matrices=False)
-        return vt[0]
-
-    def _auto_pairs(
-        self,
-        points: np.ndarray,
-        segments: np.ndarray | None,
-        interval_m: float,
-    ) -> Sequence[Tuple[int, int]]:
-        """Pick a pairing strategy from the scan structure."""
-        if segments is not None:
-            unique_ids = np.unique(segments)
-            if self.dim == 3 and unique_ids.size == 3:
-                ids = tuple(int(v) for v in unique_ids)
-                return three_line_pairs(points, segments, interval_m, line_ids=ids)
-            if unique_ids.size > 1:
-                # Multi-segment but not the canonical three-line scan: pair
-                # within segments at the interval, plus across consecutive
-                # segments by matching the sweep coordinate.
-                return self._generic_multisegment_pairs(
-                    points, segments, interval_m, unique_ids
-                )
-        try:
-            return spacing_pairs(points, interval_m)
-        except ValueError:
-            # Trajectory shorter than the interval: fall back to widest lag.
-            return lag_pairs(points.shape[0], max(points.shape[0] // 2, 1))
-
-    def _generic_multisegment_pairs(
-        self,
-        points: np.ndarray,
-        segments: np.ndarray,
-        interval_m: float,
-        unique_ids: np.ndarray | None = None,
-    ) -> list[Tuple[int, int]]:
-        from repro.core.pairing import cross_segment_pairs
-
-        if unique_ids is None:
-            unique_ids = np.unique(segments)
-        pairs: list[Tuple[int, int]] = []
-        unique = [int(v) for v in unique_ids]
-        for segment in unique:
-            index = np.flatnonzero(segments == segment)
-            if index.size < 2:
-                continue
-            try:
-                local = spacing_pairs(points[index], interval_m)
-            except ValueError:
-                continue
-            pairs += [(int(index[i]), int(index[j])) for i, j in local]
-        for first, second in zip(unique, unique[1:]):
-            pairs += cross_segment_pairs(points, segments, first, second)
-        if not pairs:
-            raise ValueError("could not build any radical-equation pairs")
-        return pairs

@@ -259,3 +259,63 @@ def three_line_pairs(
     pairs += cross_segment_pairs(points, segments, l1, l3, match_axis)
     pairs += cross_segment_pairs(points, segments, l1, l2, match_axis)
     return pairs
+
+
+def multisegment_pairs(
+    positions: np.ndarray,
+    segment_ids: np.ndarray,
+    interval_m: float,
+    unique_ids: np.ndarray | None = None,
+) -> List[Pair]:
+    """Generic pairing for multi-segment scans that are not the three-line scan.
+
+    Pairs within each segment at the interval, plus across consecutive
+    segments by matching the sweep coordinate.
+
+    Raises:
+        ValueError: if no pair can be built at all.
+    """
+    if unique_ids is None:
+        unique_ids = np.unique(segment_ids)
+    pairs: List[Pair] = []
+    unique = [int(v) for v in unique_ids]
+    for segment in unique:
+        index = np.flatnonzero(segment_ids == segment)
+        if index.size < 2:
+            continue
+        try:
+            local = spacing_pairs(positions[index], interval_m)
+        except ValueError:
+            continue
+        pairs += [(int(index[i]), int(index[j])) for i, j in local]
+    for first, second in zip(unique, unique[1:]):
+        pairs += cross_segment_pairs(positions, segment_ids, first, second)
+    if not pairs:
+        raise ValueError("could not build any radical-equation pairs")
+    return pairs
+
+
+def auto_pairs(
+    positions: np.ndarray,
+    segment_ids: np.ndarray | None,
+    interval_m: float,
+    dim: int,
+) -> Sequence[Pair]:
+    """The LION solver's default pair selection, from the scan structure.
+
+    Three segments in 3D take the structured :func:`three_line_pairs`;
+    other multi-segment scans take :func:`multisegment_pairs`; a single
+    sweep takes :func:`spacing_pairs`, falling back to the widest index
+    lag when the trajectory is shorter than the interval.
+    """
+    if segment_ids is not None:
+        unique_ids = np.unique(segment_ids)
+        if dim == 3 and unique_ids.size == 3:
+            ids = tuple(int(v) for v in unique_ids)
+            return three_line_pairs(positions, segment_ids, interval_m, line_ids=ids)
+        if unique_ids.size > 1:
+            return multisegment_pairs(positions, segment_ids, interval_m, unique_ids)
+    try:
+        return spacing_pairs(positions, interval_m)
+    except ValueError:
+        return lag_pairs(positions.shape[0], max(positions.shape[0] // 2, 1))

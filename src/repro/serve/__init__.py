@@ -16,9 +16,9 @@ processes that each host one of these engines (``lion serve``).
 """
 
 from repro.serve.batching import GroupKey, execute_batch, group_key, is_batchable
-from repro.serve.cache import CacheKey, ResultCache
 from repro.serve.engine import (
     BATCH_SIZE_BUCKETS,
+    CacheKey,
     ServeConfig,
     ServeEngine,
     Ticket,
@@ -38,14 +38,12 @@ __all__ = [
     "ServeConfig",
     "Ticket",
     "BATCH_SIZE_BUCKETS",
+    "CacheKey",
     # batching
     "GroupKey",
     "group_key",
     "is_batchable",
     "execute_batch",
-    # cache
-    "CacheKey",
-    "ResultCache",
     # errors
     "ServeError",
     "QueueFullError",

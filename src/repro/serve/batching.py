@@ -6,15 +6,15 @@ estimator configuration, so a batchable group — batch LION with the WLS
 solver — collapses into a single fused dispatch: batched
 validation/preprocess/preparation across the whole group
 (:func:`repro.core.batch_prepare.prepare_batch` — stacked unwrap and
-smoothing, geometry through the cross-call trajectory-template cache),
-pair selection and radical-row geometry through the cross-call recipe
-cache of :mod:`repro.core.sweep` (concurrent requests usually observe
-one deployment trajectory, so both caches amortize to dict lookups), and
-one stacked IRLS over every member's system. The float64 default runs
+smoothing, geometry through the content-keyed plan cache of
+:mod:`repro.core.plan`), pair selection and radical-row geometry from
+each plan's memoized recipe (concurrent requests usually observe one
+deployment trajectory, so both amortize to lookups), and one stacked
+IRLS over every member's system. The float64 default runs
 :func:`repro.core.solvers.solve_weighted_least_squares_batch`, whose
 solutions are bit-identical to the scalar solver; the opt-in float32
 path (``ServeConfig(dtype="float32")``) assembles padded single-precision
-stacks straight from the cached recipe geometry and solves them through
+stacks straight from the recipe geometry and solves them through
 the normal-equation GEMM kernel
 (:func:`repro.core.solvers.solve_weighted_least_squares_fast_batch`),
 trading bit-exactness for throughput within property-tested bounds. A
@@ -32,12 +32,12 @@ import numpy as np
 from repro.core.batch_prepare import PreparedMember, prepare_batch
 from repro.core.localizer import LionLocalizer, LocalizationResult, PreparedScan
 from repro.core.lowerdim import RecoveryResult
+from repro.core.plan import AssemblyRecipe
 from repro.core.solvers import (
     Solution,
     solve_weighted_least_squares_batch,
     solve_weighted_least_squares_fast_batch,
 )
-from repro.core.sweep import _AssemblyRecipe, cached_assembly_recipe
 from repro.core.system import LinearSystem
 from repro.core.weights import gaussian_residual_weights
 from repro.obs import current_span, tracing_enabled
@@ -76,7 +76,7 @@ def is_batchable(name: str, config: EstimatorConfig) -> bool:
 
 
 def _solve_float32(
-    pending: Sequence[Tuple[int, PreparedScan, _AssemblyRecipe]],
+    pending: Sequence[Tuple[int, PreparedScan, AssemblyRecipe]],
 ) -> Tuple[List[Solution], List[LinearSystem], List[Dict[str, Any]]]:
     """Pad the pending members' float32 systems and run the GEMM kernel.
 
@@ -96,7 +96,7 @@ def _solve_float32(
     matrices = np.zeros((len(pending), max_rows, columns), dtype=np.float32)
     rhs = np.zeros((len(pending), max_rows), dtype=np.float32)
     mask = np.arange(max_rows)[np.newaxis, :] < counts[:, np.newaxis]
-    # Members resolved from the same cached recipe (the common serve case:
+    # Members resolved from the same plan's recipe (the common serve case:
     # one deployment trajectory) share index arrays and geometry, so their
     # rows assemble in one vector op per group instead of one per member.
     by_recipe: Dict[int, List[int]] = {}
@@ -160,7 +160,7 @@ def _solve_float32(
 
 def _finalize_float32_batch(
     localizer: LionLocalizer,
-    pending: Sequence[Tuple[int, PreparedScan, _AssemblyRecipe]],
+    pending: Sequence[Tuple[int, PreparedScan, AssemblyRecipe]],
     solutions: Sequence[Solution],
     systems: Sequence[LinearSystem],
 ) -> List[LocalizationResult]:
@@ -170,8 +170,8 @@ def _finalize_float32_batch(
     (per-member ``vstack``, 2x2 rotations, per-member sqrt). Here the
     missing-axis recovery runs once per distinct axis over all affected
     members, and the rotate-back runs once per shared rotation matrix
-    (template-cached members share the object), leaving only dataclass
-    construction per member. Semantics match
+    (members completed from one cached plan share the object), leaving
+    only dataclass construction per member. Semantics match
     :meth:`LionLocalizer._finalize_solution` exactly — same candidate
     ordering, same radicand clipping, same pre-rotation recovery frame.
     """
@@ -289,22 +289,16 @@ def execute_batch(
     members: List[PreparedMember] = prepare_batch(
         localizer, requests, dtype=np.float32 if use_float32 else np.float64
     )
-    pending: List[Tuple[int, PreparedScan, _AssemblyRecipe]] = []
+    pending: List[Tuple[int, PreparedScan, AssemblyRecipe]] = []
     for index, member in enumerate(members):
         if member.error is not None:
             results[index] = member.error
             _note_member_error(index, member.error)
             continue
-        prepared = member.prepared
-        assert prepared is not None
+        prepared, plan = member.prepared, member.plan
+        assert prepared is not None and plan is not None
         try:
-            recipe = cached_assembly_recipe(
-                localizer,
-                prepared,
-                localizer.interval_m,
-                member.scan_key,
-                member.mask_key,
-            )
+            recipe = plan.recipe(localizer.interval_m)
         except ValueError as error:
             results[index] = error
             _note_member_error(index, error)

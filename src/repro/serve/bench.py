@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
-from repro.core.sweep import clear_pair_cache
+from repro.core.plan import PLAN_CACHE
 from repro.obs import collect_manifest
 from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.pipeline.registry import estimate as scalar_estimate
@@ -64,7 +64,7 @@ def _replay(
     batcher start to each request's resolution — under a burst that is
     each request's time-to-completion, so ``p99`` tracks the wall clock.
     """
-    clear_pair_cache()
+    PLAN_CACHE.clear()
     config = ServeConfig(
         max_queue_depth=max(2 * len(requests), 64),
         max_batch_size=batch_size,

@@ -58,8 +58,8 @@ from typing import (
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.calib.resolver import CalibrationResolver
 
-from repro.core.batch_prepare import template_cache_info
-from repro.core.sweep import pair_cache_info
+from repro.core.plan import PLAN_CACHE
+from repro.lru import BoundedLRU
 from repro.obs import (
     LATENCY_BUCKETS_S,
     bind_request_id,
@@ -75,8 +75,12 @@ from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.pipeline.estimators import LionEstimator
 from repro.pipeline.registry import create_estimator, resolve_config
 from repro.serve.batching import GroupKey, execute_batch, group_key, is_batchable
-from repro.serve.cache import CacheKey, ResultCache
 from repro.serve.errors import DeadlineExceededError, EngineClosedError, QueueFullError
+
+#: Result-cache key: ``(estimator, config hash, request fingerprint)``
+#: content digests, so equal requests hit regardless of object identity
+#: and any change to the scan bytes or the config misses.
+CacheKey = Tuple[str, str, str]
 
 #: Histogram buckets for micro-batch occupancy (requests per dispatch).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
@@ -105,17 +109,6 @@ def _drain_live_engines() -> None:
             pass
 
 
-def _with_hit_rate(info: Dict[str, int]) -> Dict[str, Any]:
-    """Augment a hit/miss counter dict with a derived ``hit_rate``.
-
-    ``None`` before the first probe — a 0/0 rate is "no data", not 0%.
-    """
-    payload: Dict[str, Any] = dict(info)
-    total = info.get("hits", 0) + info.get("misses", 0)
-    payload["hit_rate"] = round(info["hits"] / total, 4) if total else None
-    return payload
-
-
 @dataclass(frozen=True)
 class ServeConfig:
     """Tuning knobs of one :class:`ServeEngine`.
@@ -137,17 +130,6 @@ class ServeConfig:
             session default.
         default_deadline_s: deadline applied to requests submitted
             without one; ``None`` means no deadline.
-        fuse_singletons: dispatch batchable *singleton* groups through
-            the fused batch path too (identical answers — the batch
-            solver is pinned bit-identical). Off by default: a stacked
-            float64 solve of one member carries setup overhead the
-            scalar path skips. Turn it on for tracing-focused
-            deployments (every batchable request produces a
-            ``serve.batch`` span), and for ``dtype="float32"`` engines
-            serving repeat geometries — there the template/pair caches
-            plus the single-precision kernel make even a fused singleton
-            ~2x faster than the scalar path (streaming windowed
-            re-solves are the common case).
         dtype: numeric precision of the fused batch path. ``"float64"``
             (default) is bit-identical to the scalar estimator;
             ``"float32"`` runs batched preprocess, assembly, and the
@@ -166,7 +148,6 @@ class ServeConfig:
     scalar_executor: str = "serial"
     jobs: Optional[int] = None
     default_deadline_s: Optional[float] = None
-    fuse_singletons: bool = False
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -315,7 +296,9 @@ class ServeEngine:
         self._closed = False
         self._stats = _Stats()
         self._session_inflight: Dict[str, int] = {}
-        self._cache = ResultCache(self.config.cache_entries)
+        self._cache: BoundedLRU[EstimationReport] = BoundedLRU(
+            "result", self.config.cache_entries
+        )
         # (name, config-object) -> (resolved config, config hash). Config
         # resolution + fingerprinting are pure, and serving traffic reuses
         # a handful of config objects across millions of submits, so the
@@ -541,19 +524,18 @@ class ServeEngine:
     def stats(self) -> Dict[str, Any]:
         """Always-on counters plus queue depth and cache info.
 
-        ``template_cache`` / ``pair_cache`` report the process-wide
-        geometry caches the fused batch path runs through
-        (:mod:`repro.core.batch_prepare` / :mod:`repro.core.sweep`) —
-        their hit rates are the repeat-trajectory signal operators watch
-        when serve throughput drops.
+        ``cache`` is this engine's result cache; ``template_cache`` reports
+        the process-wide geometry-plan cache the fused batch path runs
+        through (:mod:`repro.core.plan`) — its hit rate is the
+        repeat-trajectory signal operators watch when serve throughput
+        drops.
         """
         with self._cv:
             payload: Dict[str, Any] = self._stats.as_dict()
             payload["queue_depth"] = len(self._queue)
             payload["sessions_inflight"] = len(self._session_inflight)
         payload["cache"] = self._cache.info()
-        payload["template_cache"] = _with_hit_rate(template_cache_info())
-        payload["pair_cache"] = _with_hit_rate(pair_cache_info())
+        payload["template_cache"] = PLAN_CACHE.info()
         if self._calibration is not None:
             payload["calibration"] = self._calibration.stats()
         return payload
@@ -673,7 +655,7 @@ class ServeEngine:
             return
         with self._cv:
             self._stats.batches += 1
-        if live[0].batchable and (len(live) > 1 or self.config.fuse_singletons):
+        if live[0].batchable and len(live) > 1:
             self._dispatch_batched(live)
         else:
             self._dispatch_scalar(live)

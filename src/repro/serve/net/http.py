@@ -165,14 +165,14 @@ def derive_serve_sample(sample: Sample, route: str = "/v1/locate") -> Dict[str, 
     )
     stream_reads = counter_delta(sample, "serve.stream.reads_total")
     stream_events = counter_delta(sample, "serve.stream.events_total")
-    template_hits = counter_delta(sample, "serve.template_cache_hits")
-    template_total = template_hits + counter_delta(
-        sample, "serve.template_cache_misses"
+    plan_hits = counter_delta(
+        sample,
+        "cache.lookups_total",
+        lambda labels: labels.get("cache") == "plan" and labels.get("result") == "hit",
     )
-    pair_hits = counter_delta(
-        sample, "adaptive.pair_cache_total", lambda labels: labels.get("result") == "hit"
+    plan_total = counter_delta(
+        sample, "cache.lookups_total", lambda labels: labels.get("cache") == "plan"
     )
-    pair_total = counter_delta(sample, "adaptive.pair_cache_total")
     return {
         "t": sample.t,
         "dt": round(sample.dt, 6),
@@ -186,15 +186,11 @@ def derive_serve_sample(sample: Sample, route: str = "/v1/locate") -> Dict[str, 
         "sessions": sessions,
         "stream_reads_s": round(stream_reads / dt, 3),
         "stream_events_s": round(stream_events / dt, 3),
-        # Geometry-cache hit rates over this interval (None when the
+        # Geometry-plan cache hit rate over this interval (None when the
         # interval saw no probes): the repeat-trajectory signal of the
-        # fused batch path (template cache in repro.core.batch_prepare,
-        # pair cache in repro.core.sweep).
+        # fused batch path.
         "template_hit_rate": (
-            None if template_total == 0 else round(template_hits / template_total, 4)
-        ),
-        "pair_hit_rate": (
-            None if pair_total == 0 else round(pair_hits / pair_total, 4)
+            None if plan_total == 0 else round(plan_hits / plan_total, 4)
         ),
     }
 

@@ -28,7 +28,7 @@ from repro.core.solvers import (
     solve_weighted_least_squares,
     solve_weighted_least_squares_masked_batch,
 )
-from repro.core.sweep import clear_pair_cache, pair_cache_info
+from repro.core.plan import PLAN_CACHE
 from repro.core.system import LinearSystem
 from repro.parallel import SharedArrayBundle, attach_shared_arrays
 from repro.trajectory.raster import RasterScan
@@ -146,20 +146,20 @@ class TestFusedEquivalence:
 
 class TestPairCache:
     def test_cache_hits_across_trials_on_one_trajectory(self):
-        clear_pair_cache()
+        PLAN_CACHE.clear()
         localizer, positions, _, segments, mask = _scenario("line2d")
         for seed in (11, 12):
             _, phases, _, _ = _line_scan(np.array([0.05, 0.85]), seed=seed)
             _adaptive_localize_impl(
                 localizer, positions, phases, segment_ids=segments, exclude_mask=mask
             )
-        info = pair_cache_info()
+        info = PLAN_CACHE.info()
         # Second trial re-noises the same trajectory: every cell hits.
         assert info["misses"] > 0
         assert info["hits"] >= info["misses"]
-        clear_pair_cache()
-        info = pair_cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
+        PLAN_CACHE.clear()
+        info = PLAN_CACHE.info()
+        assert info == {"hits": 0, "misses": 0, "size": 0, "max": info["max"], "hit_rate": None}
 
 
 def _masked_stack(shapes, dim=2, seed=0, noise=0.02):

@@ -23,7 +23,6 @@ from repro.core.localizer import (
     LionLocalizer,
     TooFewReadsError,
 )
-from repro.core.sweep import clear_pair_cache
 from repro.pipeline.contract import EstimationRequest
 from repro.pipeline.registry import create_estimator, estimate
 from repro.serve.batching import execute_batch
@@ -33,10 +32,8 @@ from repro.serve.engine import ServeConfig, ServeEngine
 @pytest.fixture(autouse=True)
 def _fresh_caches():
     clear_template_cache()
-    clear_pair_cache()
     yield
     clear_template_cache()
-    clear_pair_cache()
 
 
 def _line_request(seed=0, reads=40, dim=2, target=(0.3, 0.8), **fields):
@@ -207,7 +204,7 @@ class TestTemplateCache:
         batch_prepare(localizer, [_line_request()])
         clear_template_cache()
         info = template_cache_info()
-        assert info == {"hits": 0, "misses": 0, "size": 0, "max_size": info["max_size"]}
+        assert info == {"hits": 0, "misses": 0, "size": 0, "max": info["max"], "hit_rate": None}
 
 
 class TestRaggedBatches:
@@ -356,19 +353,21 @@ class TestServeIntegration:
             scalar = estimate("lion", request)
             assert float(np.max(np.abs(report.position - scalar.position))) < 5e-3
         assert {"hits", "misses", "hit_rate"} <= set(stats["template_cache"])
-        assert {"hits", "misses", "hit_rate"} <= set(stats["pair_cache"])
+        assert "pair_cache" not in stats
 
     def test_single_request_dispatch_warms_template_cache(self):
-        """The streaming windowed re-solve path (engine.submit of one
-        request at a time) rides the template cache under
-        ``fuse_singletons`` — and at load, singleton re-solves batch up
-        with concurrent traffic and ride it regardless."""
-        with ServeEngine(ServeConfig(cache_entries=0, fuse_singletons=True)) as engine:
-            engine.submit("lion", _line_request(seed=20)).result(timeout=30.0)
-            engine.submit("lion", _line_request(seed=21)).result(timeout=30.0)
+        """Batched dispatches over one trajectory share its cached plan:
+        the first 2-member batch builds it, the second hits it twice."""
+        with ServeEngine(ServeConfig(cache_entries=0), start=False) as engine:
+            for seeds in ((20, 21), (22, 23)):
+                tickets = [engine.submit("lion", _line_request(seed=s)) for s in seeds]
+                assert engine.drain_once() == 2
+                for ticket in tickets:
+                    ticket.result(timeout=0)
+            assert engine.stats()["batched_requests"] == 4
         info = template_cache_info()
         assert info["misses"] == 1
-        assert info["hits"] >= 1
+        assert info["hits"] == 3
 
     def test_stats_hit_rate_none_before_traffic(self):
         with ServeEngine(ServeConfig(cache_entries=0)) as engine:
@@ -383,11 +382,10 @@ class TestServeIntegration:
             t=100.0,
             dt=1.0,
             counters={
-                "serve.template_cache_hits": [({}, 9.0)],
-                "serve.template_cache_misses": [({}, 1.0)],
-                "adaptive.pair_cache_total": [
-                    ({"result": "hit"}, 3.0),
-                    ({"result": "miss"}, 1.0),
+                "cache.lookups_total": [
+                    ({"cache": "plan", "result": "hit"}, 9.0),
+                    ({"cache": "plan", "result": "miss"}, 1.0),
+                    ({"cache": "result", "result": "hit"}, 3.0),
                 ],
             },
             gauges={},
@@ -395,6 +393,6 @@ class TestServeIntegration:
         )
         derived = derive_serve_sample(sample)
         assert derived["template_hit_rate"] == 0.9
-        assert derived["pair_hit_rate"] == 0.75
+        assert "pair_hit_rate" not in derived
         empty = Sample(t=101.0, dt=1.0, counters={}, gauges={}, histograms={})
         assert derive_serve_sample(empty)["template_hit_rate"] is None

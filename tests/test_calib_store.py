@@ -9,6 +9,7 @@ import pytest
 
 from repro.calib import (
     CalibrationRecord,
+    CalibrationResolver,
     CalibrationStore,
     CorruptRecordError,
     UnknownAntennaError,
@@ -228,19 +229,38 @@ class TestDurability:
             CalibrationStore(tmp_path, create=False)
 
     def test_commit_appends_and_fsyncs(self, tmp_path, monkeypatch):
-        store = CalibrationStore(tmp_path)
-        for offset in (1.0, 2.0, 3.0):
-            store.commit(_calibration(offset=offset), source="scan")
-        jsonl = next((tmp_path / "antennas").glob("*.jsonl"))
         file_fsyncs = []
+        dir_fsyncs = []
         real_fsync = os.fsync
 
         def counting_fsync(fd):
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            info = os.fstat(fd)
+            if stat.S_ISREG(info.st_mode):
                 file_fsyncs.append(fd)
+            elif stat.S_ISDIR(info.st_mode):
+                dir_fsyncs.append(info.st_ino)
             real_fsync(fd)
 
+        def inode(path):
+            return os.stat(path).st_ino
+
         monkeypatch.setattr(os, "fsync", counting_fsync)
+        root = tmp_path / "store"
+        store = CalibrationStore(root)
+        # Creation makes meta.json (and antennas/) durable in the root and
+        # the root durable in its parent.
+        assert dir_fsyncs == [inode(root), inode(tmp_path)]
+        del dir_fsyncs[:]
+        store.meta_set("fleet", {"seed": 1})
+        assert dir_fsyncs == [inode(root)]
+        del dir_fsyncs[:]
+
+        for offset in (1.0, 2.0, 3.0):
+            store.commit(_calibration(offset=offset), source="scan")
+        # Only the antenna's first commit creates its file.
+        assert dir_fsyncs == [inode(root / "antennas")]
+        jsonl = next((root / "antennas").glob("*.jsonl"))
+        del file_fsyncs[:]
         for commits in range(1, 4):
             before = jsonl.read_bytes()
             store.commit(_calibration(offset=float(commits)), source="scan")
@@ -249,6 +269,7 @@ class TestDurability:
             assert after[: len(before)] == before
             assert after.count(b"\n") == before.count(b"\n") + 1
             assert len(file_fsyncs) >= commits
+        assert dir_fsyncs == [inode(root / "antennas")]
 
     def test_commit_records_latency_histograms(self, tmp_path):
         store = CalibrationStore(tmp_path)
@@ -262,3 +283,25 @@ class TestDurability:
             disable_metrics()
         assert histograms["calib.commit_seconds"] == 1
         assert histograms["calib.fsync_seconds"] >= 1
+
+
+class TestResolverCache:
+    def test_commit_clears_cache_and_keeps_one_generation(self, tmp_path):
+        store = CalibrationStore(tmp_path)
+        store.commit(_calibration("a", offset=1.0), source="scan")
+        store.commit(_calibration("b", offset=2.0), source="scan")
+        resolver = CalibrationResolver(store)
+        first = resolver.lookup(("a", "b"), 3)
+        assert resolver.lookup(("a", "b"), 3) is first
+        resolver.lookup(("b",), 3)
+        assert resolver.stats()["entries"] == 2
+
+        store.commit(_calibration("a", offset=1.5), source="scan")
+        centers, offsets = resolver.lookup(("a", "b"), 3)
+        assert offsets.tolist() == store.offsets_for(("a", "b")).tolist()
+        assert offsets.tolist() != first[1].tolist()
+        stats = resolver.stats()
+        # The older generation's entries are gone; the counters are not.
+        assert stats["entries"] == 1
+        assert (stats["hits"], stats["misses"]) == (1, 3)
+        assert stats["generation"] == store.generation == 3

@@ -2,7 +2,7 @@
 
 Scans that are multi-segment but not the canonical three-line geometry
 (e.g. a raster with five rows) route through
-``LionLocalizer._generic_multisegment_pairs``: within-segment spacing
+``repro.core.pairing.multisegment_pairs``: within-segment spacing
 pairs plus cross-segment matches between consecutive segments.
 """
 
@@ -11,6 +11,7 @@ import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.localizer import LionLocalizer, PreprocessConfig
+from repro.core.pairing import multisegment_pairs
 from repro.datasets.synthetic import simulate_scan
 from repro.rf.antenna import Antenna
 from repro.rf.noise import GaussianPhaseNoise, NoPhaseNoise
@@ -81,8 +82,7 @@ class TestGenericMultisegment:
         mask = scan_path.transit_mask(samples)
         positions = samples.positions[~mask]
         segments = samples.segment_ids[~mask]
-        localizer = LionLocalizer(dim=3)
-        pairs = localizer._generic_multisegment_pairs(positions, segments, 0.2)
+        pairs = multisegment_pairs(positions, segments, 0.2)
         diagnostics = analyze_pairing(positions, pairs)
         # x (rows) and y (row offsets) both excited.
         assert diagnostics.axis_excitation[0] > 0.05

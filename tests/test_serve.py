@@ -22,13 +22,14 @@ import pytest
 
 from repro.constants import DEFAULT_WAVELENGTH_M, TWO_PI
 from repro.core.localizer import TooFewReadsError
+from repro.lru import BoundedLRU
+from repro.obs import disable_tracing, enable_tracing, get_trace, reset_tracing
 from repro.parallel import get_executor
 from repro.pipeline import EstimationRequest, estimate, resolve_config
 from repro.serve import (
     DeadlineExceededError,
     EngineClosedError,
     QueueFullError,
-    ResultCache,
     ServeConfig,
     ServeEngine,
     is_batchable,
@@ -69,6 +70,29 @@ class TestBatchGrouping:
         assert stats["batched_requests"] == 12
         for request, report in zip(requests, reports):
             _assert_reports_identical(report, estimate("lion", request))
+
+    def test_fused_batch_span_links_every_request_id(self):
+        """Two requests with ids fuse into one ``serve.batch`` span carrying
+        both ids, which is how the span store stitches a fused dispatch
+        into each member's trace."""
+        reset_tracing()
+        enable_tracing()
+        try:
+            with ServeEngine(start=False) as engine:
+                tickets = [
+                    engine.submit("lion", _request(seed), request_id=f"req-{seed}")
+                    for seed in (4, 5)
+                ]
+                assert engine.drain_once() == 2
+                for ticket in tickets:
+                    ticket.result(timeout=0)
+            batches = [root for root in get_trace() if root.name == "serve.batch"]
+        finally:
+            disable_tracing()
+            reset_tracing()
+        assert len(batches) == 1
+        assert batches[0].attributes["request_ids"] == ("req-4", "req-5")
+        assert batches[0].attributes["size"] == 2
 
     def test_incompatible_configs_split_groups(self):
         request = _request(3)
@@ -225,7 +249,7 @@ class TestResultCache:
         assert engine.stats()["cache_hits"] == 0
 
     def test_lru_eviction_order(self):
-        cache = ResultCache(max_entries=2)
+        cache = BoundedLRU("result", max_entries=2)
         reports = {
             key: estimate("lion", _request(seed))
             for seed, key in enumerate(["a", "b", "c"])

@@ -477,8 +477,7 @@ class TestRequestTracing:
             port=0,
             shards=2,
             worker_mode="process",
-            # Fused singletons so even one request takes the batch path.
-            engine=ServeConfig(max_wait_s=0.001, fuse_singletons=True),
+            engine=ServeConfig(max_wait_s=0.001),
             recorder_slow_ms=0.0,  # record every request
             history_cadence_s=0.05,
         )
@@ -498,7 +497,7 @@ class TestRequestTracing:
                 assert status == 200
 
             # One stitched trace: ingress and shard-route spans from the
-            # server process, batch and solve spans from the worker.
+            # server process, scalar-dispatch and solve spans from the worker.
             status, recorder = _get(handle.port, "/debug/traces")
             assert status == 200
             ours = [
@@ -509,7 +508,7 @@ class TestRequestTracing:
             assert len(ours) == 1
             assert ours[0]["status"] == 200 and ours[0]["route"] == "/v1/locate"
             names, pids = _span_names_and_pids(ours[0]["trace"])
-            assert {"serve.net.ingress", "serve.net.route", "serve.batch", "solve"} <= names
+            assert {"serve.net.ingress", "serve.net.route", "serve.scalar", "solve"} <= names
             assert len(pids) >= 2  # spans crossed the process boundary
             assert recorder["stats"]["recorded"] >= 7
 
