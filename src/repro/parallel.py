@@ -505,25 +505,6 @@ def attach_shared_arrays(
     return arrays
 
 
-def detach_shared_arrays(specs: Mapping[str, SharedArraySpec | None]) -> None:
-    """Drop the worker-side attachments of the given specs (idempotent).
-
-    The attachment cache in :func:`attach_shared_arrays` assumes long-
-    lived segments reused across many chunks of one map. Callers that
-    attach a *fresh* bundle per work item — the network serving layer
-    ships every request's arrays through its own short-lived bundle —
-    must detach after copying out, or the cache grows by one mapping per
-    request for the worker's lifetime. Views returned for these specs
-    become invalid; copy first (``np.array(view)``).
-    """
-    for spec in specs.values():
-        if spec is None:
-            continue
-        cached = _ATTACHED_SEGMENTS.pop(spec.name, None)
-        if cached is not None:
-            cached[0].close()
-
-
 def get_executor(
     spec: str | Executor | None,
     jobs: int | None = None,

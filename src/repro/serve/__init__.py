@@ -1,10 +1,11 @@
 """In-process serving engine with dynamic micro-batching.
 
 The ROADMAP's serving tier: concurrent :class:`EstimationRequest`
-traffic enters a bounded admission queue, a batcher thread groups
-compatible requests by ``(estimator, config_hash, dim)`` inside a
-max-wait/max-batch window, and batchable groups (batch LION with the
-WLS solver) execute as one fused stacked-IRLS dispatch — bit-identical
+traffic enters a bounded admission queue, a work-conserving batcher
+thread takes each ready group of compatible requests (same
+``(estimator, config_hash, dim)``, up to ``max_batch_size``) without
+waiting for more, and batchable groups (batch LION with the WLS
+solver) execute as one fused stacked-IRLS dispatch — bit-identical
 to the scalar path, several times the throughput at paper-scale batch
 sizes. See ``docs/serving.md`` for architecture and tuning, and
 ``lion serve-bench`` / ``benchmarks/bench_serve.py`` for the load

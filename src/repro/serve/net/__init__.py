@@ -7,9 +7,8 @@ server (:class:`NetServer`) parses ``POST /v1/locate`` bodies, a
 ``(estimator, config_hash)`` group (stable :func:`shard_for` digest),
 and every worker process hosts its own :class:`repro.serve.ServeEngine`
 — so micro-batches stay compact per group while groups proceed in
-parallel across shards. Large request arrays ship through
-:class:`repro.parallel.SharedArrayBundle` shared memory instead of the
-pickle pipe.
+parallel across shards. Request arrays ride the worker pipe pickled
+inline.
 
 Operational surface: ``/healthz`` / ``/readyz`` probes, merged
 Prometheus ``/metrics`` across shards, load shedding (429 with

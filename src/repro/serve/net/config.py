@@ -14,8 +14,8 @@ from repro.serve.engine import ServeConfig
 from repro.stream import StreamConfig
 
 #: Worker hosting modes. ``"process"`` is the real deployment shape:
-#: spawned worker processes, true per-shard isolation, shared-memory
-#: request shipping. ``"thread"`` hosts each worker loop in a daemon
+#: spawned worker processes, true per-shard isolation, requests pickled
+#: through a pipe. ``"thread"`` hosts each worker loop in a daemon
 #: thread of the server process — no isolation, but instant startup and
 #: in-process coverage, which tests and debugging want.
 WORKER_MODES = ("process", "thread")
@@ -34,15 +34,11 @@ class NetServeConfig:
             config_hash, shards)`` so one config group always lands on
             one engine and batches compactly.
         engine: per-shard :class:`repro.serve.ServeConfig` (queue bound,
-            batch size, wait window, deadlines).
+            batch size, deadlines).
         worker_mode: ``"process"`` (default) or ``"thread"`` (tests).
         max_inflight_per_shard: supervisor-side load-shedding bound on
             requests in flight to one shard; beyond it ``/v1/locate``
             sheds with 429 before paying the worker round trip.
-        shm_threshold_bytes: request array payloads at least this large
-            ship via :class:`repro.parallel.SharedArrayBundle` segments;
-            smaller ones are pickled inline (a segment per tiny request
-            costs more than it saves).
         retry_after_s: hint returned with 429 responses (JSON field and
             the integer-rounded ``Retry-After`` header).
         max_deadline_s: cap on client-supplied ``deadline_ms`` (and the
@@ -99,7 +95,6 @@ class NetServeConfig:
     engine: ServeConfig = field(default_factory=ServeConfig)
     worker_mode: str = "process"
     max_inflight_per_shard: int = 256
-    shm_threshold_bytes: int = 8192
     retry_after_s: float = 0.05
     max_deadline_s: float | None = None
     drain_grace_s: float = 0.0
@@ -131,10 +126,6 @@ class NetServeConfig:
         if self.max_inflight_per_shard <= 0:
             raise ValueError(
                 f"max_inflight_per_shard must be positive, got {self.max_inflight_per_shard}"
-            )
-        if self.shm_threshold_bytes < 0:
-            raise ValueError(
-                f"shm_threshold_bytes must be non-negative, got {self.shm_threshold_bytes}"
             )
         if self.retry_after_s < 0:
             raise ValueError(f"retry_after_s must be non-negative, got {self.retry_after_s}")

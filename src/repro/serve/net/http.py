@@ -38,12 +38,15 @@ spans (``serve.batch``/``serve.scalar`` down to the solver), shipped
 back on the wire response and grafted by request id.
 
 Shutdown is a strict sequence — flip readiness, grace sleep, close the
-listener, wait for in-flight HTTP exchanges, drain the session manager
-(final windowed re-solves + departures for every live session), then
-drain the supervisor (which flushes every worker engine). Requests that
-were read off a socket before the listener closed always get real
-answers: the supervisor only starts refusing after the in-flight set is
-empty.
+listener, wait for in-flight HTTP exchanges, close the kept-alive
+connections, drain the session manager (final windowed re-solves +
+departures for every live session), then drain the supervisor (which
+flushes every worker engine). A request read before draining started
+is dispatched and its response written before its connection closes;
+one read after is answered ``503 draining`` with ``Connection: close``
+and never dispatched. An exchange counts as in flight from the moment
+its request is read until its response is written, and connections
+close only while none is in flight.
 
 Three entry points share :class:`NetServer`: ``await``-able use inside
 an existing loop, :class:`ServerHandle` for tests and the benchmark
@@ -133,6 +136,10 @@ _STATUS_TEXT = {
 _SHARD_BUCKETS = tuple(float(i) for i in range(17)) + (24.0, 32.0, 48.0, 64.0)
 
 _logger = get_logger("serve.net")
+
+#: Routes still served once draining starts; every other request read
+#: from then on is answered 503 ``draining`` without being dispatched.
+_DRAIN_PROBES = ("/healthz", "/readyz")
 
 
 def derive_serve_sample(sample: Sample, route: str = "/v1/locate") -> Dict[str, Any]:
@@ -338,10 +345,12 @@ class NetServer:
     async def shutdown(self) -> List[Dict[str, Any]]:
         """Graceful drain; returns per-shard final engine stats.
 
-        Sequence: flip ``/readyz`` to 503 -> ``drain_grace_s`` (load
+        Sequence: flip ``/readyz`` to 503 and answer every other newly
+        read request 503 ``draining`` -> ``drain_grace_s`` (load
         balancers observe not-ready while the socket still accepts) ->
         close the listener -> wait for in-flight exchanges (bounded by
-        ``drain_timeout_s``) -> drain the session manager (one final
+        ``drain_timeout_s``) -> close the kept-alive connections ->
+        drain the session manager (one final
         windowed re-solve and a ``TagDeparted(reason="drain")`` per live
         session; the summary lands in :attr:`session_drain`) -> drain
         the supervisor and workers. Idempotent: a second call returns
@@ -358,10 +367,15 @@ class NetServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        try:
-            await asyncio.wait_for(self._idle.wait(), self.config.drain_timeout_s)
-        except asyncio.TimeoutError:
-            pass
+        # Kept-alive connections can still read requests (answered 503
+        # from here on), so re-check after every wake-up: the writers
+        # close in the same loop step that saw no exchange in flight.
+        deadline = time.monotonic() + self.config.drain_timeout_s
+        while self._inflight and time.monotonic() < deadline:
+            try:
+                await asyncio.wait_for(self._idle.wait(), deadline - time.monotonic())
+            except asyncio.TimeoutError:
+                break
         for writer in list(self._connections):
             writer.close()
         if self._sweep_task is not None:
@@ -414,18 +428,18 @@ class NetServer:
                     status, response, extra = await self._dispatch(
                         method, path, headers, body
                     )
+                    self._observe(path, status, time.perf_counter() - started)
+                    close = (
+                        self._draining
+                        or headers.get("connection", "").lower() == "close"
+                    )
+                    await self._write_response(
+                        writer, status, response, extra_headers=extra, close=close
+                    )
                 finally:
                     self._inflight -= 1
                     if self._inflight == 0:
                         self._idle.set()
-                self._observe(path, status, time.perf_counter() - started)
-                close = (
-                    self._draining
-                    or headers.get("connection", "").lower() == "close"
-                )
-                await self._write_response(
-                    writer, status, response, extra_headers=extra, close=close
-                )
                 if close:
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
@@ -517,6 +531,12 @@ class NetServer:
         """
         path, _, query = path.partition("?")
         request_id, id_source = request_id_from_headers(headers)
+        if self._draining and path not in _DRAIN_PROBES:
+            return (
+                503,
+                error_body("draining", "server is draining"),
+                {"X-Request-Id": request_id},
+            )
         trace_children: List[SpanNode] = []
         routes: Dict[
             Tuple[str, str], Callable[[], Awaitable[Tuple[int, Any, Optional[Dict[str, str]]]]]
@@ -577,7 +597,7 @@ class NetServer:
                 path,
                 status,
                 started_epoch,
-                time.perf_counter() - started,
+                started,
                 trace_children,
             )
         extra = dict(extra) if extra else {}
@@ -591,10 +611,16 @@ class NetServer:
         path: str,
         status: int,
         started_epoch: float,
-        elapsed_s: float,
+        started: float,
         children: List[SpanNode],
     ) -> None:
-        """Assemble the ingress root span and offer it to the recorder."""
+        """Assemble the ingress root span and offer it to the recorder.
+
+        Every span of the stitched tree, the worker's included, carries
+        ``time.perf_counter`` (CLOCK_MONOTONIC, host-wide on Linux), so
+        cross-process gaps read straight off it; the root also records
+        the wall-clock start as ``started_at_unix``.
+        """
         ingress = SpanNode(
             name="serve.net.ingress",
             attributes={
@@ -602,9 +628,10 @@ class NetServer:
                 "id_source": id_source,
                 "route": path,
                 "status": status,
+                "started_at_unix": started_epoch,
             },
-            start_s=started_epoch,
-            end_s=started_epoch + elapsed_s,
+            start_s=started,
+            end_s=time.perf_counter(),
             pid=os.getpid(),
             children=children,
         )
@@ -668,7 +695,6 @@ class NetServer:
         root.
         """
         started = time.perf_counter()
-        started_epoch = time.time()
         traced = tracing_enabled()
         call = parse_locate_body(body, max_deadline_s=self.config.max_deadline_s)
         if "antennas" in call.scalars:
@@ -692,8 +718,8 @@ class NetServer:
                         "shard": shard,
                         "estimator": call.estimator,
                     },
-                    start_s=started_epoch,
-                    end_s=time.time(),
+                    start_s=started,
+                    end_s=time.perf_counter(),
                     pid=os.getpid(),
                     children=[SpanNode.from_dict(p) for p in (worker_trace or [])],
                 )
@@ -896,8 +922,6 @@ class NetServer:
         self, body: bytes
     ) -> Tuple[int, Any, Optional[Dict[str, str]]]:
         """``POST /v1/sessions``: open one streaming session (201)."""
-        if self._draining:
-            return 503, error_body("draining", "server is draining"), None
         tag, antenna, session_id, config = parse_session_create(body, self.config.stream)
         session = await asyncio.to_thread(
             self._sessions.open_session, tag, antenna, config, session_id
@@ -913,8 +937,6 @@ class NetServer:
         response carries the triggered lifecycle events and the latest
         estimate, so a client tails its tag without a second poll.
         """
-        if self._draining:
-            return 503, error_body("draining", "server is draining"), None
         reads = parse_reads_ndjson(body)
         result = await asyncio.to_thread(self._sessions.feed, session_id, reads)
         return 200, feed_result_body(result), None

@@ -5,16 +5,16 @@ Requests route by a *stable* digest of ``(estimator, config_hash)`` —
 same worker and its engine batches compactly. That key is the whole
 point of sharding this workload: micro-batches only fuse within a
 group, so spreading a group across workers would fragment every batch,
-while pinning groups to shards lets one shard's batch-fill window
-overlap another shard's solve even on constrained hardware.
+while pinning groups to shards lets one shard's queue fill into a
+batch while another shard solves, even on constrained hardware.
 
 The supervisor owns the process/pipe plumbing: per-worker duplex pipes
-(single sender per direction), a receiver thread per worker resolving
-futures by request id, parent-owned :class:`SharedArrayBundle` segments
-per large request (closed when its response lands), supervisor-side
-load shedding at ``max_inflight_per_shard``, and the two-phase drain
-the HTTP layer calls on SIGTERM. A worker that dies mid-flight fails
-its pending futures with :class:`WorkerDiedError` and flips readiness.
+(single sender per direction) that carry each request's arrays pickled
+inline, a receiver thread per worker resolving futures by request id,
+supervisor-side load shedding at ``max_inflight_per_shard``, and the
+two-phase drain the HTTP layer calls on SIGTERM. A worker that dies
+mid-flight fails its pending futures with :class:`WorkerDiedError` and
+flips readiness.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs import config_fingerprint, get_registry, metrics_enabled
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import SharedArrayBundle, SharedArraySpec
 from repro.pipeline.registry import resolve_config
 from repro.serve.errors import (
     DeadlineExceededError,
@@ -64,7 +63,6 @@ class _Pending:
     """One request in flight to a worker."""
 
     future: "Future[Dict[str, Any]]"
-    bundle: Optional[SharedArrayBundle]
     shard: int
 
 
@@ -182,9 +180,10 @@ class ShardSupervisor:
         In-flight requests to the old worker fail with
         :class:`WorkerDiedError` (clients retry; the stable routing key
         sends them back to the same shard). The old runner is torn down
-        — terminated when it is a process, abandoned to its EOF exit
-        when it is a thread — and a replacement spawns with the same
-        shard index, so metrics labels and routing are unchanged.
+        — terminated when it is a process, told to drain when it is a
+        thread — and its receiver is joined before the old pipe closes.
+        A replacement spawns with the same shard index, so metrics
+        labels and routing are unchanged.
 
         Raises:
             RuntimeError: when the supervisor is not running, ``index``
@@ -200,16 +199,17 @@ class ShardSupervisor:
         old = self._workers[index]
         old.dead = True
         self._fail_pending(old, WorkerDiedError(f"shard {index} restarting"))
-        try:
-            old.conn.close()
-        except OSError:
-            pass
         if isinstance(old.runner, multiprocessing.process.BaseProcess):
             if old.runner.is_alive():
                 old.runner.terminate()
             old.runner.join(5.0)
-        if old.receiver is not None:
-            old.receiver.join(timeout=5.0)
+        else:
+            with old.lock:
+                try:
+                    old.conn.send(("drain",))
+                except (BrokenPipeError, OSError):
+                    pass
+        self._release(old)
         replacement = self._spawn_worker(index)
         self._workers[index] = replacement
         budget = self.config.ready_timeout_s if timeout is None else timeout
@@ -275,10 +275,22 @@ class ShardSupervisor:
         if not self._closed:
             self.drain()
         for worker in self._workers:
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
+            self._release(worker)
+
+    @staticmethod
+    def _release(worker: _Worker) -> None:
+        """Join the worker's receiver, then close the parent pipe end.
+
+        The receiver leaves ``recv`` on the EOF of the worker closing its
+        end as it exits; closing the parent end under a blocked ``recv``
+        would pull the handle out from beneath it.
+        """
+        if worker.receiver is not None:
+            worker.receiver.join(timeout=5.0)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
 
     @staticmethod
     def _join_runner(worker: _Worker, timeout: float) -> None:
@@ -330,25 +342,21 @@ class ShardSupervisor:
                     f"{self.config.max_inflight_per_shard}"
                 )
             req_id = next(self._ids)
-            specs, inline, bundle = self._pack_arrays(call.arrays)
             message = WireRequest(
                 req_id=req_id,
                 name=call.estimator,
                 config=call.config,
-                specs=specs,
-                inline=inline,
+                arrays=call.arrays,
                 scalars=call.scalars,
                 deadline_epoch=deadline_epoch,
                 include_residuals=call.include_residuals,
                 request_id=request_id or "",
             )
-            worker.pending[req_id] = _Pending(future=future, bundle=bundle, shard=shard)
+            worker.pending[req_id] = _Pending(future=future, shard=shard)
             try:
                 worker.conn.send(message)
             except (BrokenPipeError, OSError) as error:
-                entry = worker.pending.pop(req_id, None)
-                if entry is not None and entry.bundle is not None:
-                    entry.bundle.close()
+                worker.pending.pop(req_id, None)
                 worker.dead = True
                 raise WorkerDiedError(f"shard {shard} pipe is broken") from error
             depth = len(worker.pending)
@@ -357,27 +365,6 @@ class ShardSupervisor:
             registry.counter("serve.net.shard_requests_total", shard=shard).inc()
             registry.gauge("serve.net.shard_inflight", shard=shard).set(depth)
         return future, shard
-
-    def _pack_arrays(
-        self, arrays: Dict[str, Any]
-    ) -> Tuple[Dict[str, SharedArraySpec], Dict[str, Any], Optional[SharedArrayBundle]]:
-        """Choose the transport for one request's arrays.
-
-        Large payloads (>= ``shm_threshold_bytes`` in total) go through
-        a parent-owned shared-memory bundle — workers map the bytes
-        instead of unpickling them — and the bundle is closed when the
-        response (or the worker's death) releases the request. Small
-        payloads pickle inline; a segment per tiny request costs more
-        than it moves.
-        """
-        total = sum(array.nbytes for array in arrays.values())
-        if not arrays or total < self.config.shm_threshold_bytes:
-            return {}, dict(arrays), None
-        bundle = SharedArrayBundle(**arrays)
-        specs = {
-            name: spec for name, spec in bundle.specs.items() if spec is not None
-        }
-        return specs, {}, bundle
 
     # ------------------------------------------------------------------
     # receive path
@@ -416,8 +403,6 @@ class ShardSupervisor:
             depth = len(worker.pending)
         if entry is None:
             return
-        if entry.bundle is not None:
-            entry.bundle.close()
         if metrics_enabled():
             get_registry().gauge("serve.net.shard_inflight", shard=worker.index).set(depth)
         if message.ok:
@@ -432,8 +417,6 @@ class ShardSupervisor:
             entries = list(worker.pending.values())
             worker.pending.clear()
         for entry in entries:
-            if entry.bundle is not None:
-                entry.bundle.close()
             if not entry.future.done():
                 entry.future.set_exception(error)
 

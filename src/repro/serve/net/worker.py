@@ -1,12 +1,10 @@
 """Shard worker: one process (or thread), one :class:`ServeEngine`.
 
-The supervisor ships each request's arrays either inline (small
-payloads, pickled straight through the pipe) or as
-:class:`repro.parallel.SharedArraySpec` handles into shared memory the
-parent owns (:class:`SharedArrayBundle`); the worker attaches, copies
-out, and detaches immediately so the per-process attachment cache never
-grows with request count. Responses are small (a position, diagnostics,
-optionally residuals) and return pickled.
+The supervisor ships each request's arrays pickled inline through the
+pipe: a paper-scale 400-read scan is ~10 KB, one pipe message, and
+unpickling it costs far less than a shared-memory segment's create /
+register / attach / unlink round trip. Responses are small (a position,
+diagnostics, optionally residuals) and return pickled.
 
 Concurrency shape: the main thread is a blocking ``recv`` loop that
 submits into the engine and returns immediately; ticket completions —
@@ -25,7 +23,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -37,7 +35,6 @@ from repro.obs import (
     take_request_spans,
     tracing_enabled,
 )
-from repro.parallel import SharedArraySpec, attach_shared_arrays, detach_shared_arrays
 from repro.pipeline.contract import EstimationReport, EstimationRequest
 from repro.serve.engine import ServeConfig, ServeEngine
 from repro.serve.errors import (
@@ -80,8 +77,7 @@ class WireRequest:
     Attributes:
         req_id: supervisor-unique id the response echoes back.
         name / config: estimator name and config-override dict.
-        specs: shared-memory handles for large request arrays.
-        inline: small request arrays, pickled directly.
+        arrays: request arrays, pickled inline.
         scalars: plain request fields.
         deadline_epoch: absolute ``time.time()`` deadline (comparable
             across processes) or ``None``.
@@ -95,8 +91,7 @@ class WireRequest:
     req_id: int
     name: str
     config: Optional[Dict[str, Any]]
-    specs: Dict[str, SharedArraySpec]
-    inline: Dict[str, np.ndarray]
+    arrays: Dict[str, np.ndarray]
     scalars: Dict[str, Any]
     deadline_epoch: Optional[float]
     include_residuals: bool
@@ -160,20 +155,6 @@ def _send_loop(conn: Connection, outbound: "queue.Queue[Optional[Any]]") -> None
             return
 
 
-def _decode_request(message: WireRequest) -> EstimationRequest:
-    """Rebuild the :class:`EstimationRequest` from inline + shm arrays."""
-    arrays: Dict[str, np.ndarray] = dict(message.inline)
-    if message.specs:
-        views = attach_shared_arrays(dict(message.specs))
-        try:
-            for name, view in views.items():
-                if view is not None:
-                    arrays[name] = np.array(view)
-        finally:
-            detach_shared_arrays(dict(message.specs))
-    return EstimationRequest(**arrays, **message.scalars)
-
-
 def _submit(
     engine: ServeEngine,
     message: WireRequest,
@@ -181,7 +162,7 @@ def _submit(
 ) -> None:
     """Admit one wire request; completions enqueue the response."""
     try:
-        request = _decode_request(message)
+        request = EstimationRequest(**message.arrays, **message.scalars)
         deadline_s: Optional[float] = None
         if message.deadline_epoch is not None:
             # An already-expired deadline still goes through the engine so
@@ -265,3 +246,6 @@ def worker_main(conn: Connection, config: WorkerConfig) -> None:
         outbound.put(("drained", stats))
         outbound.put(None)
         sender.join(timeout=5.0)
+        # The EOF this leaves in the pipe is what lets the supervisor's
+        # receiver leave ``recv`` before the parent end closes.
+        conn.close()

@@ -60,7 +60,7 @@ def server(tmp_path_factory, fleet):
         port=0,
         shards=1,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
+        engine=ServeConfig(),
         calibration_store=str(root),
     )
     with ServerHandle(config) as handle:
@@ -210,7 +210,7 @@ class TestWithoutStore:
     @pytest.fixture(scope="class")
     def bare_server(self):
         config = NetServeConfig(
-            port=0, shards=1, worker_mode="thread", engine=ServeConfig(max_wait_s=0.001)
+            port=0, shards=1, worker_mode="thread", engine=ServeConfig()
         )
         with ServerHandle(config) as handle:
             yield handle

@@ -127,7 +127,7 @@ class TestTopCommand:
 
         config = NetServeConfig(
             port=0, shards=1, worker_mode="thread",
-            engine=ServeConfig(max_wait_s=0.001), history_cadence_s=0.05,
+            engine=ServeConfig(), history_cadence_s=0.05,
         )
         with ServerHandle(config) as handle:
             url = f"http://127.0.0.1:{handle.port}"

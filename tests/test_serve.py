@@ -131,6 +131,39 @@ class TestBatchGrouping:
         )
 
 
+class TestWorkConservingDispatch:
+    def test_lone_batchable_request_dispatches_without_timed_wait(self):
+        # The batcher must never hold a request back for company: on an
+        # idle engine a lone batchable request dispatches at once. The
+        # batcher's condition records every wait, so the check needs no
+        # wall-clock bound.
+        idle = threading.Event()
+        timed_waits = []
+
+        class RecordingCondition(threading.Condition):
+            def wait(self, timeout=None):
+                if timeout is None:
+                    idle.set()
+                else:
+                    timed_waits.append(timeout)
+                return super().wait(timeout)
+
+        request = _request(7)
+        assert is_batchable("lion", resolve_config("lion", None))
+        engine = ServeEngine(ServeConfig(), start=False)
+        engine._cv = RecordingCondition()
+        engine.start()
+        try:
+            assert idle.wait(60), "batcher never blocked on the empty queue"
+            report = engine.submit("lion", request).result(timeout=60)
+        finally:
+            assert engine.close() is True
+        assert timed_waits == []
+        stats = engine.stats()
+        assert stats["batches"] == 1 and stats["scalar_requests"] == 1
+        _assert_reports_identical(report, estimate("lion", request))
+
+
 class TestBackpressure:
     def test_queue_full_raises(self):
         engine = ServeEngine(ServeConfig(max_queue_depth=2), start=False)
@@ -338,10 +371,10 @@ class TestLifecycle:
             from repro.serve import ServeConfig, ServeEngine
             from repro.serve.bench import build_requests
 
-            engine = ServeEngine(ServeConfig(max_wait_s=0.5, max_batch_size=64))
+            engine = ServeEngine(ServeConfig(max_batch_size=64))
             state["ticket"] = engine.submit("lion", build_requests(1, 64, seed=3)[0])
-            # Exit immediately, while the batcher still holds the window
-            # open waiting for more arrivals — no close(), no drain.
+            # Exit immediately, while the request is still queued or
+            # dispatching on the batcher thread — no close(), no drain.
             """
         )
         result = subprocess.run(
@@ -362,7 +395,6 @@ class TestConfigValidation:
         [
             {"max_queue_depth": 0},
             {"max_batch_size": 0},
-            {"max_wait_s": -0.1},
             {"cache_entries": -1},
             {"scalar_executor": "process"},
             {"default_deadline_s": 0.0},

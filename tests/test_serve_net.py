@@ -7,15 +7,17 @@ in-process answer), failures map to a fixed ``(status, kind)`` taxonomy,
 shard routing is a stable digest (pinned here against accidental
 re-keying), and a graceful drain answers every accepted request before
 the process exits. Thread-mode workers keep most tests in-process and
-fast; one process-mode test covers the spawn + shared-memory + metrics
-merge path end-to-end.
+fast; one process-mode test covers the spawn + pipe + metrics merge
+path end-to-end.
 """
 
 import http.client
 import json
+import os
 import socket
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -88,7 +90,7 @@ def _thread_config(**overrides):
         port=0,
         shards=2,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
+        engine=ServeConfig(),
     )
     defaults.update(overrides)
     return NetServeConfig(**defaults)
@@ -173,7 +175,7 @@ class TestWorkerRoundtrip:
         import multiprocessing
 
         parent, child = multiprocessing.Pipe()
-        config = WorkerConfig(shard_index=3, engine=ServeConfig(max_wait_s=0.001))
+        config = WorkerConfig(shard_index=3, engine=ServeConfig())
         thread = threading.Thread(target=worker_main, args=(child, config), daemon=True)
         thread.start()
         assert parent.recv() == ("ready", 3)
@@ -184,8 +186,7 @@ class TestWorkerRoundtrip:
                 req_id=42,
                 name="lion",
                 config=None,
-                specs={},
-                inline={"positions": scan.positions, "phases_rad": scan.phases_rad},
+                arrays={"positions": scan.positions, "phases_rad": scan.phases_rad},
                 scalars={},
                 deadline_epoch=None,
                 include_residuals=True,
@@ -215,7 +216,7 @@ class TestWorkerRoundtrip:
         import multiprocessing
 
         parent, child = multiprocessing.Pipe()
-        config = WorkerConfig(shard_index=0, engine=ServeConfig(max_wait_s=0.001))
+        config = WorkerConfig(shard_index=0, engine=ServeConfig())
         thread = threading.Thread(target=worker_main, args=(child, config), daemon=True)
         thread.start()
         assert parent.recv() == ("ready", 0)
@@ -227,8 +228,7 @@ class TestWorkerRoundtrip:
                 req_id=1,
                 name="hologram",
                 config=None,
-                specs={},
-                inline={"positions": scan.positions, "phases_rad": scan.phases_rad},
+                arrays={"positions": scan.positions, "phases_rad": scan.phases_rad},
                 scalars={},
                 deadline_epoch=None,
                 include_residuals=False,
@@ -370,7 +370,7 @@ class TestGracefulDrain:
             assert all(entry["drained_clean"] for entry in stats)
 
     def test_drain_mid_burst_loses_no_accepted_request(self):
-        config = _thread_config(shards=2, engine=ServeConfig(max_wait_s=0.001, cache_entries=0))
+        config = _thread_config(shards=2, engine=ServeConfig(cache_entries=0))
         with ServerHandle(config) as handle:
             port = handle.port
             statuses = []
@@ -418,12 +418,104 @@ class TestGracefulDrain:
             assert completed == ok
             assert all(entry["drained_clean"] for entry in stats)
 
+    def test_request_read_after_drain_starts_is_refused_not_dispatched(self, monkeypatch):
+        # Once draining starts, a kept-alive connection can still read a
+        # new request. It must be answered 503 and never reach an engine,
+        # and the drain must not close connections under an answer still
+        # in flight. Holding one request in flight keeps the drain open,
+        # so the ordering below needs no wall-clock race.
+        config = _thread_config(shards=1, engine=ServeConfig(cache_entries=0))
+        with ServerHandle(config) as handle:
+            port = handle.port
+            supervisor = handle.server.supervisor
+            submit = supervisor.submit
+            dispatched = threading.Event()
+            release = threading.Event()
+            calls = []
+
+            def held_submit(call, request_id=None):
+                inner, shard = submit(call, request_id=request_id)
+                calls.append(call)
+                if len(calls) > 1:
+                    return inner, shard
+                outer = Future()
+
+                def relay():
+                    release.wait(60)
+                    try:
+                        outer.set_result(inner.result(60))
+                    except Exception as error:  # noqa: BLE001 - relay any outcome
+                        outer.set_exception(error)
+
+                threading.Thread(target=relay, daemon=True).start()
+                dispatched.set()
+                return outer, shard
+
+            kept = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+            kept.request("POST", "/v1/locate", body=_lion_body(seed=40))
+            first = kept.getresponse()
+            first.read()
+            assert first.status == 200
+            assert first.getheader("Connection") == "keep-alive"
+
+            monkeypatch.setattr(supervisor, "submit", held_submit)
+            held = {}
+
+            def held_client():
+                held["status"], _, held["raw"] = _post(port, _lion_body(seed=41))
+
+            holder = threading.Thread(target=held_client, daemon=True)
+            holder.start()
+            assert dispatched.wait(60)
+
+            handle.request_shutdown()
+            deadline = time.monotonic() + 60.0
+            while True:  # the listener closes once draining has begun
+                assert time.monotonic() < deadline, "listener never closed"
+                try:
+                    socket.create_connection(("127.0.0.1", port), timeout=5).close()
+                except ConnectionRefusedError:
+                    break
+                time.sleep(0.01)
+
+            kept.request("POST", "/v1/locate", body=_lion_body(seed=42))
+            late = kept.getresponse()
+            late_body = json.loads(late.read())
+            assert late.status == 503
+            assert late_body["error"]["kind"] == "draining"
+            assert late.getheader("Connection") == "close"
+            kept.close()
+
+            release.set()
+            holder.join(timeout=60)
+            assert not holder.is_alive()
+            assert held["status"] == 200
+            assert len(json.loads(held["raw"])["position"]) == 2
+            stats = handle.stop()
+        assert len(calls) == 1  # the late request never reached the supervisor
+        assert sum(entry["completed"] for entry in stats) == 2
+        assert all(entry["drained_clean"] for entry in stats)
+
     def test_stop_is_idempotent(self):
         handle = ServerHandle(_thread_config(shards=1))
         handle.start()
         first = handle.stop()
         assert first is not None
         assert handle.stop() == first
+
+    def test_thread_mode_stop_raises_nothing_in_threads(self, monkeypatch):
+        # Closing the parent pipe end under a receiver still inside
+        # ``recv`` kills it with a TypeError, so every receiver must have
+        # left on its worker's EOF before the supervisor closes the pipes.
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        for seed in range(3):
+            handle = ServerHandle(_thread_config(shards=2)).start()
+            assert _post(handle.port, _lion_body(seed=50 + seed))[0] == 200
+            supervisor = handle.server.supervisor
+            handle.stop()
+            assert not any(worker.receiver.is_alive() for worker in supervisor._workers)
+        assert raised == []
 
 
 class TestProcessMode:
@@ -432,11 +524,12 @@ class TestProcessMode:
             port=0,
             shards=2,
             worker_mode="process",
-            engine=ServeConfig(max_wait_s=0.001),
-            # Force the shared-memory request path for one of the posts.
-            shm_threshold_bytes=1024,
+            engine=ServeConfig(),
         )
         with ServerHandle(config) as handle:
+            # A paper-scale 400-read request (~10 KB of arrays) rides the
+            # pipe inline: bit-identical, and no shared-memory segment.
+            shm_before = set(os.listdir("/dev/shm"))
             scan = _scan(seed=21, reads=400)
             status, _, raw = _post(handle.port, _lion_body(seed=21, reads=400))
             assert status == 200
@@ -444,6 +537,7 @@ class TestProcessMode:
             expected = estimate("lion", scan)
             assert payload["position"] == expected.position.tolist()
             assert payload["config_hash"] == expected.config_hash
+            assert set(os.listdir("/dev/shm")) <= shm_before
 
             status, _, raw = _post(handle.port, None, method="GET", path="/metrics")
             assert status == 200
@@ -455,6 +549,13 @@ class TestProcessMode:
             stats = handle.stop()
             assert [entry["shard"] for entry in stats] == [0, 1]
             assert all(entry["drained_clean"] for entry in stats)
+
+
+def _assert_children_nested(node, tolerance_s=1e-3):
+    for child in node.get("children", []):
+        assert node["start_s"] - tolerance_s <= child["start_s"], (node["name"], child["name"])
+        assert child["end_s"] <= node["end_s"] + tolerance_s, (node["name"], child["name"])
+        _assert_children_nested(child, tolerance_s)
 
 
 def _span_names_and_pids(trace_dict):
@@ -477,7 +578,7 @@ class TestRequestTracing:
             port=0,
             shards=2,
             worker_mode="process",
-            engine=ServeConfig(max_wait_s=0.001),
+            engine=ServeConfig(),
             recorder_slow_ms=0.0,  # record every request
             history_cadence_s=0.05,
         )
@@ -510,6 +611,12 @@ class TestRequestTracing:
             names, pids = _span_names_and_pids(ours[0]["trace"])
             assert {"serve.net.ingress", "serve.net.route", "serve.scalar", "solve"} <= names
             assert len(pids) >= 2  # spans crossed the process boundary
+            # One clock domain across the hop: every child span, the
+            # worker's included, lies inside its parent's interval.
+            root = ours[0]["trace"]
+            assert root["start_s"] <= time.perf_counter()
+            assert abs(root["attributes"]["started_at_unix"] - time.time()) < 60.0
+            _assert_children_nested(root)
             assert recorder["stats"]["recorded"] >= 7
 
             time.sleep(0.25)  # let the sampler tick past the burst
@@ -558,7 +665,7 @@ class TestShardRestart:
             port=0,
             shards=2,
             worker_mode="process",
-            engine=ServeConfig(max_wait_s=0.001),
+            engine=ServeConfig(),
         )
         with ServerHandle(config) as handle:
             status, _, raw = _post(handle.port, _lion_body(seed=11))

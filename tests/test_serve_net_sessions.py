@@ -66,7 +66,7 @@ def _config(**overrides):
         port=0,
         shards=1,
         worker_mode="thread",
-        engine=ServeConfig(max_wait_s=0.001),
+        engine=ServeConfig(),
     )
     defaults.update(overrides)
     return NetServeConfig(**defaults)
